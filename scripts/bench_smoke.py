@@ -38,6 +38,13 @@ previous snapshot has gated keys but none of them match the current
 series names, the run fails with a setup error instead of silently
 gating nothing.
 
+The per-lock footprint ("footprint.opt-bravo-goll.bytes_mt4", ...) is
+recorded in its own "footprint" section: heap bytes one factory lock of
+each kind allocates at construction, at max_threads 4 and 512, from
+tests/footprint_test --print.  It is deterministic, so it is gated by a
+hard ceiling per key (the test's own table, DESIGN.md §17): a change that
+grows any kind past its ceiling fails the run.
+
 Usage: scripts/bench_smoke.py [--build-dir build] [--threshold 0.20]
                               [--realtime-threshold 0.50] [--skip-micro]
                               [--skip-realtime]
@@ -312,6 +319,25 @@ def collect_micro(build_dir, name, bench_filter):
     return metrics
 
 
+def collect_footprint(build_dir):
+    """footprint_test --print lines "footprint.<kind>.bytes_mt<N> <bytes>
+    <ceiling>" -> ({key: bytes}, {key: ceiling})."""
+    binary = os.path.join(build_dir, "tests", "footprint_test")
+    out = run([binary, "--print"])
+    sizes, ceilings = {}, {}
+    for line in out.splitlines():
+        if not line.startswith("footprint."):
+            continue
+        key, size, ceiling = line.split()
+        sizes[key] = int(size)
+        ceilings[key] = int(ceiling)
+    if not sizes:
+        print("bench_smoke: footprint_test --print produced no lines",
+              file=sys.stderr)
+        sys.exit(2)
+    return sizes, ceilings
+
+
 def collect_meta(build_dir):
     """Provenance stamp for the snapshot: which commit produced these
     numbers, and which build configuration (observability hooks change the
@@ -432,6 +458,11 @@ def main():
         for key, ratio in sorted(park_floors.items()):
             if ratio < args.park_floor:
                 park_floor_failures.append((key, ratio))
+    print("bench_smoke: measuring per-lock footprint (ceiling-gated)")
+    footprint, footprint_ceilings = collect_footprint(build_dir)
+    footprint_failures = [(k, v, footprint_ceilings[k])
+                          for k, v in sorted(footprint.items())
+                          if v > footprint_ceilings[k]]
     print("bench_smoke: running timed-acquisition series (informational)")
     informational.update(collect_timed(build_dir))
     print("bench_smoke: running optimistic index-traversal series "
@@ -489,6 +520,16 @@ def main():
         for key, ratio in park_floor_failures:
             print(f"  {key}: {ratio:.2f}", file=sys.stderr)
 
+    if footprint_failures:
+        status = 1
+        print("bench_smoke: FAIL — per-lock footprint above its ceiling "
+              "(tests/footprint_test.cpp):", file=sys.stderr)
+        for key, size, ceiling in footprint_failures:
+            print(f"  {key}: {size} bytes > {ceiling}", file=sys.stderr)
+    else:
+        print(f"bench_smoke: all {len(footprint)} footprint keys within "
+              f"their ceilings")
+
     config = {fig: list(fig_args) for fig, _, fig_args, _ in GATED_FIGS}
     config["timed"] = list(TIMED_ARGS)
     if not args.skip_realtime:
@@ -500,7 +541,8 @@ def main():
                                 "pinned); park.* dimensionless throughput "
                                 "ratios (wall clock)",
                        "informational": "ns/op (real time); latency.* "
-                                        "in sim virtual cycles"}
+                                        "in sim virtual cycles",
+                       "footprint": "heap bytes per lock at construction"}
     snapshot = {
         "index": index,
         "gate": {"threshold": args.threshold,
@@ -510,6 +552,8 @@ def main():
         "config": config,
         "meta": collect_meta(build_dir),
         "gated": gated,
+        "footprint": footprint,
+        "footprint_ceilings": footprint_ceilings,
         "informational": informational,
     }
     out_path = os.path.join(REPO_ROOT, f"BENCH_{index}.json")

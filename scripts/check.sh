@@ -115,10 +115,12 @@ echo "==> snzi: OLL_DWCAS=0 build (pointer-width root fallback, §15.3)"
 cmake -B build-nodwcas -S . -DOLL_DWCAS=0 \
   -DOLL_ENABLE_BENCH=OFF -DOLL_ENABLE_EXAMPLES=OFF
 cmake --build build-nodwcas -j "${JOBS}" --target csnzi_test \
-  lock_conformance_test mechanism_test
+  lock_conformance_test mechanism_test footprint_test
 ./build-nodwcas/tests/csnzi_test >/dev/null
 ./build-nodwcas/tests/lock_conformance_test >/dev/null
 ./build-nodwcas/tests/mechanism_test >/dev/null
+# The root range without root16_: layout and byte ceilings still hold.
+./build-nodwcas/tests/footprint_test >/dev/null
 echo "==> OLL_DWCAS=0 build + smoke OK"
 
 # litmus_test is the memory-order audit's harness (DESIGN.md §12): its
@@ -131,6 +133,7 @@ TSAN_SUITES=(
   wait_queue_test mutex_test metalock_test orig_snzi_test trace_test
   histogram_test timed_lock_test litmus_test versioned_lock_test
   lock_registry_test telemetry_test mechanism_test park_test
+  lock_stats_test
 )
 
 echo "==> tsan: configure + build (tests only)"

@@ -41,6 +41,7 @@
 #include <mutex>
 
 #include "platform/assert.hpp"
+#include "platform/cache_line.hpp"
 #include "platform/fault.hpp"
 #include "platform/memory.hpp"
 #include "platform/spin.hpp"
@@ -92,19 +93,19 @@ class GollLock {
 
   explicit GollLock(const GollOptions& opts = {})
       : opts_(opts),
-        csnzi_(csnzi_options(opts)),
+        fast_release_(opts.metalock.kind != MetalockKind::kTatas),
+        dmap_(opts.metalock.topology != nullptr ? opts.metalock.topology
+                                                : &Topology::system()),
         metalock_(metalock_options(opts)),
+        locals_(opts.max_threads),
+        stats_(opts.max_threads),
+        csnzi_(csnzi_options(opts)),
         queue_(opts.readers_coalesce_over_writers,
                opts.metalock.kind == MetalockKind::kCohort
                    ? opts.metalock.cohort_budget
                    : 0,
                /*tree_wake=*/opts.metalock.kind != MetalockKind::kTatas),
-        combine_(opts.combine ? opts.max_threads : 1),
-        fast_release_(opts.metalock.kind != MetalockKind::kTatas),
-        dmap_(opts.metalock.topology != nullptr ? opts.metalock.topology
-                                                : &Topology::system()),
-        locals_(opts.max_threads),
-        stats_(opts.max_threads) {}
+        combine_(opts.combine ? opts.max_threads : 1) {}
 
   GollLock(const GollLock&) = delete;
   GollLock& operator=(const GollLock&) = delete;
@@ -762,20 +763,51 @@ class GollLock {
   // holder shows up to combine (see with_write's fallback).
   static constexpr std::uint32_t kDelegateSpinBudget = 1024;
 
+  // Hot-word layout (DESIGN.md §17), in three groups of false-sharing
+  // ranges whose boundaries do not depend on the allocator's offset:
+  //   1. read on every operation, written only at construction — the
+  //      options, the domain map, the metalock handle (its lock word lives
+  //      on the heap), and the pointers to the per-thread Local and stats
+  //      slots;
+  //   2. the C-SNZI, whose read-mostly head may share group 1's last range
+  //      and whose root word sits alone on its own range (csnzi.hpp);
+  //   3. the writer-side state mutated on queued acquisitions: the waiter
+  //      flag, the wait queue and the combining pool, starting a fresh
+  //      range so their stores never invalidate groups 1 and 2.
   GollOptions opts_;
-  CSnzi<M> csnzi_;
-  Metalock<M> metalock_;
-  WaitQueue<M> queue_;
-  // Delegated-writer publication pool (sized 1 when combining is off).
-  CombinePool<M> combine_;
   // Scalable writer path (metalock != tatas): eliding release + tree wake.
   // tatas keeps the seed protocol as the ablation baseline.
   const bool fast_release_;
   DomainMap dmap_;
-  // Queue-nonempty flag for the eliding release; see sync_waiter_flag().
-  typename M::template Atomic<std::uint32_t> has_waiters_{0};
+  Metalock<M> metalock_;
   PerThreadSlots<Local> locals_;
   LockStats stats_;
+  CSnzi<M> csnzi_;
+  // Queue-nonempty flag for the eliding release; see sync_waiter_flag().
+  alignas(kFalseSharingRange)
+      typename M::template Atomic<std::uint32_t> has_waiters_{0};
+  WaitQueue<M> queue_;
+  // Delegated-writer publication pool (sized 1 when combining is off).
+  CombinePool<M> combine_;
+
+ public:
+  // Member address ranges for the layout test (tests/footprint_test.cpp),
+  // including the C-SNZI's, each tagged with its LayoutGroup.
+  template <typename F>
+  void visit_layout(F&& f) const {
+    constexpr LayoutGroup kRead = LayoutGroup::kReadMostly;
+    constexpr LayoutGroup kWriter = LayoutGroup::kWriterSide;
+    f("goll.opts_", &opts_, sizeof(opts_), kRead);
+    f("goll.fast_release_", &fast_release_, sizeof(fast_release_), kRead);
+    f("goll.dmap_", &dmap_, sizeof(dmap_), kRead);
+    f("goll.metalock_", &metalock_, sizeof(metalock_), kRead);
+    f("goll.locals_", &locals_, sizeof(locals_), kRead);
+    f("goll.stats_", &stats_, sizeof(stats_), kRead);
+    csnzi_.visit_layout(f);
+    f("goll.has_waiters_", &has_waiters_, sizeof(has_waiters_), kWriter);
+    f("goll.queue_", &queue_, sizeof(queue_), kWriter);
+    f("goll.combine_", &combine_, sizeof(combine_), kWriter);
+  }
 };
 
 }  // namespace oll

@@ -11,13 +11,26 @@
 // revocations, which is how tests verify that biased readers really skip
 // the underlying lock's shared RMWs.
 //
-// Beyond event counts, each slot carries three log2-bucketed latency
-// histograms (platform/histogram.hpp): read-acquire, write-acquire, and
-// writer-wait-while-readers-drain.  The locks feed them only while the
-// observability layer's latency timing is runtime-enabled (platform/
-// trace.hpp), so the default-configuration hot path pays nothing beyond
-// one relaxed flag load per acquisition — and nothing at all when compiled
-// with OLL_TRACE=0.
+// Beyond event counts, the lock keeps six log2-bucketed latency histograms
+// per thread (platform/histogram.hpp): read-acquire, write-acquire,
+// writer-wait-while-readers-drain, timed-acquire, optimistic-read and
+// park-wait.  The locks feed them only while the observability layer's
+// latency timing is runtime-enabled (platform/trace.hpp) or, for park-wait,
+// when a waiter actually parked, so the default-configuration hot path pays
+// nothing beyond one relaxed flag load per acquisition — and nothing at all
+// when compiled with OLL_TRACE=0.
+//
+// Pay-for-use storage (DESIGN.md §17): the histograms are ~2.4 KiB per
+// thread against 160 bytes of counters, and most locks never record one —
+// a B-tree of 4,681 latches at max_threads=4 spent 80 % of its heap on
+// histogram slots nobody wrote.  So the per-thread counter slot holds only
+// the counters, and the histograms live in one per-lock block of per-thread
+// slots allocated by the first record.  Concurrent first records race to
+// publish their block with a CAS; the losers free theirs and use the
+// winner's, so exactly one block is ever published and no record is lost.
+// Readers load the block pointer with acquire (pairing with the CAS's
+// release), so they see it fully zeroed; a null block reads as empty
+// histograms, which is what a never-written block would have held.
 //
 // Each slot has exactly one writer (its thread), but snapshot() may run
 // concurrently with increments, so the fields are atomics accessed with
@@ -30,7 +43,10 @@
 #include <cstdint>
 
 #include "locks/per_thread.hpp"
+#include "platform/assert.hpp"
+#include "platform/cache_line.hpp"
 #include "platform/histogram.hpp"
+#include "platform/thread_id.hpp"
 #include "snzi/csnzi_stats.hpp"
 
 namespace oll {
@@ -207,6 +223,10 @@ struct LockStatsSnapshot {
 class LockStats {
  public:
   explicit LockStats(std::uint32_t max_threads) : slots_(max_threads) {}
+  ~LockStats() { delete[] hist_.load(std::memory_order_acquire); }
+
+  LockStats(const LockStats&) = delete;
+  LockStats& operator=(const LockStats&) = delete;
 
   void count_read_fast() { bump(slots_.local().read_fast); }
   void count_read_queued() { bump(slots_.local().read_queued); }
@@ -241,27 +261,37 @@ class LockStats {
     Slot& s = slots_.local();
     add(s.parks, n);
     add(s.spurious_wakes, sp);
-    if (wait_ns != 0) s.park_wait.add(wait_ns);
+    if (wait_ns != 0) local_histograms().park_wait.add(wait_ns);
   }
   void count_unparks(std::uint64_t n) {
     if (n != 0) add(slots_.local().unparks, n);
   }
 
   // Histogram feeds; call only when the caller's ObsTimer was armed (the
-  // locks guard on it), so a disabled run never touches these lines.
+  // locks guard on it), so a disabled run never touches these lines — nor
+  // allocates the histogram block.
   void record_read_acquire(std::uint64_t d) {
-    slots_.local().read_acquire.add(d);
+    local_histograms().read_acquire.add(d);
   }
   void record_write_acquire(std::uint64_t d) {
-    slots_.local().write_acquire.add(d);
+    local_histograms().write_acquire.add(d);
   }
   void record_writer_wait(std::uint64_t d) {
-    slots_.local().writer_wait.add(d);
+    local_histograms().writer_wait.add(d);
   }
   void record_timed_acquire(std::uint64_t d) {
-    slots_.local().timed_acquire.add(d);
+    local_histograms().timed_acquire.add(d);
   }
-  void record_opt_read(std::uint64_t d) { slots_.local().opt_read.add(d); }
+  void record_opt_read(std::uint64_t d) {
+    local_histograms().opt_read.add(d);
+  }
+
+  // Histogram blocks published by every LockStats in the process so far
+  // (monotonic; CAS losers are not counted).  Lets tests assert that an
+  // untimed, park-free workload allocates none.
+  static std::uint64_t histogram_blocks_published() {
+    return blocks_published_.load(std::memory_order_relaxed);
+  }
 
   // Aggregate across threads.  Not linearizable with respect to concurrent
   // updates (relaxed loads of live counters); call at quiescence for exact
@@ -297,12 +327,17 @@ class LockStats {
       total.unparks += s.unparks.load(std::memory_order_relaxed);
       total.spurious_wakes +=
           s.spurious_wakes.load(std::memory_order_relaxed);
-      s.read_acquire.snapshot_into(total.read_acquire);
-      s.write_acquire.snapshot_into(total.write_acquire);
-      s.writer_wait.snapshot_into(total.writer_wait);
-      s.timed_acquire.snapshot_into(total.timed_acquire);
-      s.opt_read.snapshot_into(total.opt_read);
-      s.park_wait.snapshot_into(total.park_wait);
+    }
+    if (const HistSlot* h = hist_.load(std::memory_order_acquire)) {
+      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+        const Histograms& s = h[i].value;
+        s.read_acquire.snapshot_into(total.read_acquire);
+        s.write_acquire.snapshot_into(total.write_acquire);
+        s.writer_wait.snapshot_into(total.writer_wait);
+        s.timed_acquire.snapshot_into(total.timed_acquire);
+        s.opt_read.snapshot_into(total.opt_read);
+        s.park_wait.snapshot_into(total.park_wait);
+      }
     }
     return total;
   }
@@ -333,12 +368,17 @@ class LockStats {
       s.parks.store(0, std::memory_order_relaxed);
       s.unparks.store(0, std::memory_order_relaxed);
       s.spurious_wakes.store(0, std::memory_order_relaxed);
-      s.read_acquire.reset();
-      s.write_acquire.reset();
-      s.writer_wait.reset();
-      s.timed_acquire.reset();
-      s.opt_read.reset();
-      s.park_wait.reset();
+    }
+    if (HistSlot* h = hist_.load(std::memory_order_acquire)) {
+      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+        Histograms& s = h[i].value;
+        s.read_acquire.reset();
+        s.write_acquire.reset();
+        s.writer_wait.reset();
+        s.timed_acquire.reset();
+        s.opt_read.reset();
+        s.park_wait.reset();
+      }
     }
   }
 
@@ -364,6 +404,10 @@ class LockStats {
     std::atomic<std::uint64_t> parks{0};
     std::atomic<std::uint64_t> unparks{0};
     std::atomic<std::uint64_t> spurious_wakes{0};
+  };
+
+  // One thread's histograms; lives in the lazily published block.
+  struct Histograms {
     AtomicHistogram read_acquire;
     AtomicHistogram write_acquire;
     AtomicHistogram writer_wait;
@@ -371,6 +415,7 @@ class LockStats {
     AtomicHistogram opt_read;
     AtomicHistogram park_wait;
   };
+  using HistSlot = CacheAligned<Histograms>;
 
   // Single-writer slot: a relaxed load+store increment cannot be lost and
   // avoids a lock-prefixed RMW on the acquisition hot path.
@@ -381,7 +426,34 @@ class LockStats {
     c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
+  // The calling thread's histogram slot, publishing the block on first use.
+  Histograms& local_histograms() {
+    HistSlot* h = hist_.load(std::memory_order_acquire);
+    if (h == nullptr) [[unlikely]] h = publish_histograms();
+    const std::uint32_t idx = this_thread_index();
+    OLL_CHECK(idx < slots_.size());
+    return h[idx].value;
+  }
+
+  // Cold half of local_histograms(): allocate a zeroed block and race to
+  // publish it.  release on success publishes the zeroed contents to every
+  // acquire load above; acquire on failure makes the winner's block ours.
+  [[gnu::cold, gnu::noinline]] HistSlot* publish_histograms() {
+    HistSlot* fresh = new HistSlot[slots_.size()];
+    HistSlot* expected = nullptr;
+    if (hist_.compare_exchange_strong(expected, fresh,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      blocks_published_.fetch_add(1, std::memory_order_relaxed);
+      return fresh;
+    }
+    delete[] fresh;  // another thread won the publication race
+    return expected;
+  }
+
   PerThreadSlots<Slot> slots_;
+  std::atomic<HistSlot*> hist_{nullptr};
+  static inline std::atomic<std::uint64_t> blocks_published_{0};
 };
 
 }  // namespace oll

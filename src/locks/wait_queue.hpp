@@ -58,6 +58,7 @@
 
 #include "platform/assert.hpp"
 #include "platform/cache_line.hpp"
+#include "platform/fault.hpp"
 #include "platform/memory.hpp"
 #include "platform/park.hpp"
 #include "platform/spin.hpp"
@@ -213,16 +214,7 @@ class WaitQueue {
               &park_outcome);
         }
       }
-      SpinWait w;
-      for (unsigned i = 0; i < 2 * SpinWait::kDefaultSpinLimit; ++i) {
-        if (granted.load(std::memory_order_acquire) != 0) return true;
-        w.pause();
-      }
-      OLL_DCHECK(parking != nullptr);
-      std::unique_lock<std::mutex> g(parking->m);
-      return parking->cv.wait_until(g, deadline, [&] {
-        return granted.load(std::memory_order_acquire) != 0;
-      });
+      return blocking_wait(&deadline);
     }
 
     // Called by GroupRef::signal_all.  For blocking waiters the flag store
@@ -231,7 +223,10 @@ class WaitQueue {
     // moment it observes granted != 0, so (as with the spin path) nothing
     // may touch the node after this returns — cv.notify_one is called
     // under the mutex for exactly that reason (the waiter cannot finish
-    // cv.wait until we release the mutex inside this function).  For
+    // cv.wait until we release the mutex inside this function), and a
+    // waiter that sees the flag in its pre-park spin instead passes through
+    // the mutex before returning (blocking_wait), so it cannot destroy the
+    // mutex and condvar while we are still inside them.  For
     // kSpinThenPark the exchange displaces whatever marker the waiter
     // advertised; unpark_one never dereferences the (possibly already
     // destroyed) node, so the same lifetime contract holds.  Returns true
@@ -247,16 +242,56 @@ class WaitQueue {
                                 /*all=*/false) == kParkedFlag;
         }
       }
-      OLL_DCHECK(parking != nullptr);
-      {
-        std::lock_guard<std::mutex> g(parking->m);
-        granted.store(1, std::memory_order_release);
-        parking->cv.notify_one();
-      }
+      blocking_grant();
       return false;
     }
 
    private:
+    // The kBlocking halves of the waits and of grant(), out of line and
+    // cold: kBlocking is kept for comparison only, so its mutex/condvar
+    // code stays out of the spin paths' instruction stream.
+    //
+    // A short optimistic spin, then sleep on the condvar until granted or
+    // until *deadline (nullptr: no deadline).  `granted` is set under
+    // `parking->m` by blocking_grant(), so the sleep/wake handshake cannot
+    // be lost.  A flag seen during the spin was observed outside the
+    // mutex: the granter may still be inside blocking_grant(), holding the
+    // mutex and about to notify, and returning at once would let the
+    // caller destroy the node — mutex and condvar included — under it.
+    // Taking the mutex once waits the granter out; after its unlock it
+    // never touches the node again.
+    [[gnu::cold, gnu::noinline]] bool blocking_wait(
+        const std::chrono::steady_clock::time_point* deadline) {
+      OLL_DCHECK(parking != nullptr);
+      SpinWait w;
+      for (unsigned i = 0; i < 2 * SpinWait::kDefaultSpinLimit; ++i) {
+        if (granted.load(std::memory_order_acquire) != 0) {
+          std::lock_guard<std::mutex> g(parking->m);
+          return true;
+        }
+        w.pause();
+      }
+      const auto is_granted = [&] {
+        return granted.load(std::memory_order_acquire) != 0;
+      };
+      std::unique_lock<std::mutex> g(parking->m);
+      if (deadline == nullptr) {
+        parking->cv.wait(g, is_granted);
+        return true;
+      }
+      return parking->cv.wait_until(g, *deadline, is_granted);
+    }
+
+    [[gnu::cold, gnu::noinline]] void blocking_grant() {
+      OLL_DCHECK(parking != nullptr);
+      std::lock_guard<std::mutex> g(parking->m);
+      granted.store(1, std::memory_order_release);
+      // Widens the store-to-notify window for the lifetime regression
+      // tests (mechanism_test BlockingWaiters.*HandoffNeverOutlivesWaitNode).
+      fault_perturb(FaultSite::kQueueHandoff);
+      parking->cv.notify_one();
+    }
+
     // Block until granted (the strategy-specific half of wait()).
     void wait_granted() {
       if (strategy == WaitStrategy::kSpin) {
@@ -271,19 +306,7 @@ class WaitQueue {
           return;
         }
       }
-      // Blocking: a short optimistic spin, then park.  `granted` is set
-      // under `parking->m` by grant() so the sleep/wake handshake cannot be
-      // lost.
-      SpinWait w;
-      for (unsigned i = 0; i < 2 * SpinWait::kDefaultSpinLimit; ++i) {
-        if (granted.load(std::memory_order_acquire) != 0) return;
-        w.pause();
-      }
-      OLL_DCHECK(parking != nullptr);
-      std::unique_lock<std::mutex> g(parking->m);
-      parking->cv.wait(g, [&] {
-        return granted.load(std::memory_order_acquire) != 0;
-      });
+      (void)blocking_wait(nullptr);
     }
   };
 

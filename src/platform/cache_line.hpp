@@ -52,4 +52,11 @@ struct Pad {
   char pad[kPadBytes];
 };
 
+// Member groups reported by the hot-word layout visitors (csnzi.hpp,
+// goll_lock.hpp; DESIGN.md §17).  Members of different groups must never
+// share a false-sharing range: read-mostly fields are read on every
+// operation, the two hot groups are the words RMW'd or stored on the
+// acquisition paths, and each hot group has its own range.
+enum class LayoutGroup : unsigned char { kReadMostly, kCSnziRoot, kWriterSide };
+
 }  // namespace oll

@@ -909,26 +909,51 @@ class CSnzi {
     return ts.leaf;
   }
 
+  // Hot-word layout (DESIGN.md §17).  Everything up to root_ is read on
+  // every operation but written only at construction (the two pointers are
+  // published once, lazily), so it may share lines with the owning lock's
+  // read-mostly fields.  The root is the word every direct arrival, depart
+  // and close/open RMWs; it gets a false-sharing range of its own, so no
+  // root CAS invalidates the fields above, whatever offset the allocator
+  // gives the object.  The alignment also rounds sizeof up to a whole
+  // range, keeping the owner's following members off the root's range.
   CSnziOptions opts_;
   LeafMap leaf_map_;
-  typename M::template Atomic<std::uint64_t> root_;
-#if OLL_DWCAS_CAPABLE
-  // 16-byte fused root, live instead of root_ when use_dwcas_ is set.
-  // Sharing root_'s cache line is deliberate: exactly one of the two is
-  // ever touched after construction.
-  typename M::template Atomic<unsigned __int128> root16_{0};
-#endif
-  // Resolved at construction from opts_.dwcas_root (normalize() already
-  // cleared it on incapable builds); read-only afterwards.
-  bool use_dwcas_ = false;
-  char pad_[kFalseSharingRange - sizeof(typename M::template Atomic<std::uint64_t>) %
-                kFalseSharingRange];
   // Owned tree storage; published lock-free, freed in the destructor.  This
   // is a std::atomic even in simulated builds: tree publication is a
   // once-per-lock event, not a contended hot path we want to model.
   std::atomic<Node*> tree_storage_{nullptr};
   // Lazily-allocated per-thread state array (same publication scheme).
   std::atomic<ThreadState*> thread_state_{nullptr};
+  alignas(kFalseSharingRange) typename M::template Atomic<std::uint64_t> root_;
+#if OLL_DWCAS_CAPABLE
+  // 16-byte fused root, live instead of root_ when use_dwcas_ is set.
+  // Sharing root_'s range is deliberate: exactly one of the two is ever
+  // touched after construction.
+  typename M::template Atomic<unsigned __int128> root16_{0};
+#endif
+  // Resolved at construction from opts_.dwcas_root (normalize() already
+  // cleared it on incapable builds); read-only afterwards, and read only
+  // right before touching the root, so it lives on the root's range.
+  bool use_dwcas_ = false;
+
+ public:
+  // Member address ranges for the layout test (tests/footprint_test.cpp):
+  // the root group is the RMW target, the rest is read on every arrival.
+  template <typename F>
+  void visit_layout(F&& f) const {
+    constexpr LayoutGroup kRead = LayoutGroup::kReadMostly;
+    constexpr LayoutGroup kRoot = LayoutGroup::kCSnziRoot;
+    f("csnzi.opts_", &opts_, sizeof(opts_), kRead);
+    f("csnzi.leaf_map_", &leaf_map_, sizeof(leaf_map_), kRead);
+    f("csnzi.tree_storage_", &tree_storage_, sizeof(tree_storage_), kRead);
+    f("csnzi.thread_state_", &thread_state_, sizeof(thread_state_), kRead);
+    f("csnzi.root_", &root_, sizeof(root_), kRoot);
+#if OLL_DWCAS_CAPABLE
+    f("csnzi.root16_", &root16_, sizeof(root16_), kRoot);
+#endif
+    f("csnzi.use_dwcas_", &use_dwcas_, sizeof(use_dwcas_), kRoot);
+  }
 };
 
 }  // namespace oll

@@ -20,6 +20,7 @@
 #include "locks/goll_lock.hpp"
 #include "locks/roll_lock.hpp"
 #include "locks/solaris_rwlock.hpp"
+#include "platform/fault.hpp"
 #include "platform/spin.hpp"
 #include "lock_test_utils.hpp"
 
@@ -277,6 +278,69 @@ TEST(BlockingWaiters, WriterParkAndHandoff) {
   lock.unlock_shared();
   writer.join();
   EXPECT_TRUE(writer_done.load());
+}
+
+// --- kBlocking wait-node lifetime (regression) ------------------------------
+// A blocking waiter that saw its grant during the pre-park spin used to
+// return at once, destroying its stack node — and the node's mutex and
+// condition variable — while the granter was still inside grant(), holding
+// that mutex and about to notify.  Each round below hands write ownership
+// from the main thread to a peer queued behind it; a yield-at-every-hook
+// fault profile stalls the granter between its flag store and its notify,
+// so the peer (still spinning, since the main thread releases after 0-3
+// yields) observes the flag inside that window on most rounds.  Before the
+// fix this crashed or tripped ASan/TSan within a few rounds.
+
+template <typename Lock>
+void blocking_handoff_rounds(Lock& lock, int rounds) {
+  FaultProfile yield_everywhere;
+  yield_everywhere.name = "yield-everywhere";
+  yield_everywhere.yield_p = 1024;
+  fault_enable(yield_everywhere, 7);
+  std::atomic<int> turn{0};
+  std::thread peer([&] {
+    for (int r = 0; r < rounds; ++r) {
+      while (turn.load(std::memory_order_acquire) != 2 * r + 1) {
+        std::this_thread::yield();
+      }
+      lock.lock();  // queues behind the main thread's hold
+      lock.unlock();
+      turn.store(2 * r + 2, std::memory_order_release);
+    }
+  });
+  for (int r = 0; r < rounds; ++r) {
+    lock.lock();
+    turn.store(2 * r + 1, std::memory_order_release);
+    for (int i = 0; i < r % 4; ++i) std::this_thread::yield();
+    lock.unlock();  // hands off to the peer if it has queued
+    while (turn.load(std::memory_order_acquire) != 2 * r + 2) {
+      std::this_thread::yield();
+    }
+  }
+  peer.join();
+  fault_disable();
+}
+
+TEST(BlockingWaiters, GollHandoffNeverOutlivesWaitNode) {
+  GollOptions o;
+  o.wait_strategy = WaitStrategy::kBlocking;
+  GollLock<> lock(o);
+  constexpr int kRounds = 2000;
+  blocking_handoff_rounds(lock, kRounds);
+  const LockStatsSnapshot s = lock.stats();
+  EXPECT_EQ(s.writes(), 2u * kRounds);
+  // The rounds must actually exercise the queued handoff, not only the
+  // uncontended fast path.
+  EXPECT_GT(s.write_queued, kRounds / 4u);
+}
+
+TEST(BlockingWaiters, SolarisHandoffNeverOutlivesWaitNode) {
+  SolarisOptions o;
+  o.wait_strategy = WaitStrategy::kBlocking;
+  SolarisRwLock<> lock(o);
+  blocking_handoff_rounds(lock, 2000);
+  EXPECT_TRUE(lock.try_lock());
+  lock.unlock();
 }
 
 }  // namespace
