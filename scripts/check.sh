@@ -123,13 +123,17 @@ cmake --build build-nodwcas -j "${JOBS}" --target csnzi_test \
 ./build-nodwcas/tests/footprint_test >/dev/null
 echo "==> OLL_DWCAS=0 build + smoke OK"
 
+# snzi_stress_test (CloseNeverStrandsStickySurplus,
+# CloseDrainsUnderSustainedStickyArrivals) and csnzi_property_test check
+# the C-SNZI's one-RMW departures and sticky/decay arrival policy as real
+# happens-before edges (DESIGN.md §8, §12.2).
 # litmus_test is the memory-order audit's harness (DESIGN.md §12): its
 # fixture arms the chaos fault profile itself, so under TSan each
 # release/acquire downgrade is checked as a real happens-before edge
 # against a fault-sheared schedule.
 TSAN_SUITES=(
   lock_stress_test race_fuzz_test snzi_stress_test bravo_test
-  csnzi_test lock_conformance_test foll_roll_test goll_test ksuh_test
+  csnzi_test csnzi_property_test lock_conformance_test foll_roll_test goll_test ksuh_test
   wait_queue_test mutex_test metalock_test orig_snzi_test trace_test
   histogram_test timed_lock_test litmus_test versioned_lock_test
   lock_registry_test telemetry_test mechanism_test park_test

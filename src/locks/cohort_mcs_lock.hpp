@@ -282,7 +282,7 @@ class CohortMcsLock {
     Domain& d = domains_[dmap_.domain_of(this_thread_index())];
     if (me.bypass) {
       me.bypass = false;
-      if (global_unlock(me.gnode)) bump(d.cross_domain), bump(d.handoffs);
+      global_unlock(me.gnode, d);
       return;
     }
     QNode* succ = me.next.load(std::memory_order_acquire);
@@ -292,9 +292,7 @@ class CohortMcsLock {
       // new local leader can re-enqueue it (a leader can only appear after
       // we either detach below or grant kAcquireGlobal, both of which come
       // after this release).
-      if (!single_domain_ && global_unlock(d.gnode)) {
-        bump(d.cross_domain), bump(d.handoffs);
-      }
+      if (!single_domain_) global_unlock(d.gnode, d);
       QNode* expected = &me;
       if (d.tail.compare_exchange_strong(expected, nullptr,
                                          std::memory_order_acq_rel,
@@ -307,8 +305,8 @@ class CohortMcsLock {
         return succ != nullptr;
       });
       fault_perturb(FaultSite::kQueueHandoff);
-      grant_status(succ, single_domain_ ? kCohortGrant : kAcquireGlobal);
       if (single_domain_) bump(d.handoffs), bump(d.cohort_hits);
+      grant_status(succ, single_domain_ ? kCohortGrant : kAcquireGlobal);
       return;
     }
     if (single_domain_) {
@@ -332,7 +330,7 @@ class CohortMcsLock {
     // Budget exhausted: FIFO across domains.  Release the global lock (the
     // next domain's leader, if any, is granted inside) and make the local
     // successor re-acquire it behind that domain.
-    if (global_unlock(d.gnode)) bump(d.cross_domain), bump(d.handoffs);
+    global_unlock(d.gnode, d);
     grant_status(succ, kAcquireGlobal);
   }
 
@@ -387,7 +385,9 @@ class CohortMcsLock {
     std::uint32_t handoffs_left = 0;
     // Handoff counters: single writer at a time (the holder), concurrent
     // relaxed readers (stats); std::atomic keeps them out of the simulated
-    // cost model, like LockStats.
+    // cost model, like LockStats.  Every bump happens before the grant that
+    // ends the bumping thread's ownership, so the next holder's bumps are
+    // ordered after it by the handoff.
     std::atomic<std::uint64_t> handoffs{0};
     std::atomic<std::uint64_t> cohort_hits{0};
     std::atomic<std::uint64_t> cross_domain{0};
@@ -426,32 +426,35 @@ class CohortMcsLock {
         [&] { return n.locked.load(std::memory_order_acquire) == 0; });
   }
 
-  // Returns true when ownership passed to another domain's leader (a
-  // successor existed in the global queue), false when the lock went free.
-  bool global_unlock(GNode& n) noexcept {
+  // Passes the global lock to the next domain's leader, or frees it when
+  // the global queue is empty.  A pass to another domain is counted in
+  // `d` (the releasing holder's domain) before the grant: once the grant
+  // is out, the next holder may be counting in the same Domain.
+  void global_unlock(GNode& n, Domain& d) noexcept {
     GNode* succ = n.next.load(std::memory_order_acquire);
     if (succ == nullptr) {
       GNode* expected = &n;
       if (gtail_.compare_exchange_strong(expected, nullptr,
                                          std::memory_order_acq_rel,
                                          std::memory_order_acquire)) {
-        return false;
+        return;
       }
       spin_until([&] {
         succ = n.next.load(std::memory_order_acquire);
         return succ != nullptr;
       });
     }
+    bump(d.cross_domain);
+    bump(d.handoffs);
     fault_perturb(FaultSite::kQueueHandoff);
     if constexpr (kParkable) {
       if (use_park_) {
         (void)park_grant_u32(succ->locked, /*grant_val=*/0, kParkedSpin,
                              /*all=*/false);
-        return true;
+        return;
       }
     }
     succ->locked.store(0, std::memory_order_release);
-    return true;
   }
 
   std::uint32_t budget_;

@@ -61,8 +61,8 @@ class McsRwLock {
     }
     // Mirror start_write's empty-queue arm; the registration dance settles
     // any race with a departing last reader.
-    next_writer_.store(&I, std::memory_order_release);
-    if (reader_count_.load(std::memory_order_acquire) == 0) {
+    next_writer_.store(&I, std::memory_order_seq_cst);  // Dekker S_writer
+    if (reader_count_.load(std::memory_order_seq_cst) == 0) {  // L_count
       QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
       if (w == &I) {
         I.state.fetch_and(~kBlocked, std::memory_order_acq_rel);
@@ -197,9 +197,16 @@ class McsRwLock {
         next_writer_.store(succ, std::memory_order_release);
       }
     }
-    if (reader_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // seq_cst: Dekker S_count / L_writer.  A writer that found the queue
+    // empty registers in next_writer_ and then reads reader_count_; the
+    // last reader out decrements and then takes next_writer_.  If both
+    // sides could read the other's old value (the writer's store still
+    // buffered while it reads our count), the writer would see a reader
+    // and the reader no writer: nobody unblocks the writer.  The total
+    // order forbids that outcome.
+    if (reader_count_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
       // Last reader out unblocks the next writer, if one registered.
-      QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
+      QNode* w = next_writer_.exchange(nullptr, std::memory_order_seq_cst);
       if (w != nullptr) {
         w->state.fetch_and(~kBlocked, std::memory_order_acq_rel);
       }
@@ -212,8 +219,9 @@ class McsRwLock {
     I.state.store(kBlocked | kSuccNone, std::memory_order_relaxed);
     QNode* pred = tail_.exchange(&I, std::memory_order_acq_rel);
     if (pred == nullptr) {
-      next_writer_.store(&I, std::memory_order_release);
-      if (reader_count_.load(std::memory_order_acquire) == 0) {
+      // seq_cst: Dekker S_writer / L_count, pairs with end_read (see there).
+      next_writer_.store(&I, std::memory_order_seq_cst);
+      if (reader_count_.load(std::memory_order_seq_cst) == 0) {
         QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
         if (w == &I) {
           I.state.fetch_and(~kBlocked, std::memory_order_acq_rel);

@@ -33,11 +33,16 @@
 //     §2.2 linearization rule — a tree arrival fails only at a CLOSED root
 //     with zero surplus, a condition tree_arrive() itself detects when the
 //     leaf's first arrival propagates — so the root check was always
-//     advisory on this path.  Hysteresis: a sticky window that propagated
-//     to the root more than `sticky_decay_propagations` times means the
-//     leaf keeps draining (reader traffic is low), so the thread decays
-//     back to direct root arrivals and the uncontended 1-CAS fast path is
-//     restored.  At read saturation the leaf never drains and the window
+//     advisory on this path.  Hysteresis: a sticky window ends as soon as
+//     it has propagated to the root more than `sticky_decay_propagations`
+//     times.  The leaf keeps draining (a thread with a private leaf drains
+//     it on every depart), so each tree arrival pays a leaf RMW on top of
+//     the root RMW a direct arrival pays.  The thread decays to direct
+//     arrivals and holds there for its next `sticky_arrivals` arrivals,
+//     ignoring the root's tree-surplus hint (other threads' tree arrivals
+//     say nothing about this thread's leaf); only losing the root CAS
+//     `root_cas_fail_threshold` times moves a held thread back to the
+//     tree.  At read saturation the leaf never drains and the window
 //     re-arms for free, but only `sticky_rearm_windows` times in a row:
 //     the next re-arm re-reads the root and refuses to re-arm if the
 //     C-SNZI has been closed.  Without that bound, sticky readers sharing
@@ -136,11 +141,12 @@ struct CSnziOptions {
   // the C-SNZI.
   const Topology* topology = nullptr;
   // Sticky window length: tree arrivals made without a root read after an
-  // adaptive switch to the tree.  0 disables the sticky fast path (every
-  // arrival re-reads the root, the seed behaviour).
+  // adaptive switch to the tree.  Also the length of the direct hold after
+  // a decay.  0 disables the sticky fast path (every arrival re-reads the
+  // root, the seed behaviour).
   std::uint32_t sticky_arrivals = 64;
-  // Hysteresis: decay back to direct root arrivals when a sticky window
-  // propagated to the root more than this many times (the leaf kept
+  // Hysteresis: end a sticky window and hold direct as soon as it has
+  // propagated to the root more than this many times (the leaf keeps
   // draining, so tree arrivals are paying root traffic anyway).
   std::uint32_t sticky_decay_propagations = 8;
   // Consecutive root-free window re-arms allowed before a re-arm must
@@ -259,7 +265,11 @@ class CSnzi {
       if (tree_arrive(leaf, &ts)) {
         bump(ts.tree_arrivals);
         bump(ts.sticky_arrivals);
-        if (ts.sticky == 0) rearm_or_decay(ts);
+        if (ts.window_propagations > opts_.sticky_decay_propagations) {
+          decay(ts);
+        } else if (ts.sticky == 0) {
+          rearm(ts);
+        }
         return Ticket{Ticket::Kind::kNode, leaf};
       }
       // Closed with zero surplus: the window is over either way.
@@ -272,7 +282,8 @@ class CSnzi {
     bump(ts.root_reads);
     while (true) {
       if (!is_open(old.word)) return Ticket{};
-      if (!should_arrive_at_tree(old.word, root_failures)) {
+      if (!should_arrive_at_tree(old.word, root_failures,
+                                 ts.direct_hold > 0)) {
         if (fault_cas_fail(FaultSite::kCasRetry)) {
           // Injected spurious failure: legal wherever compare_exchange_weak
           // may fail spuriously.  Reload and retry like a genuine miss.
@@ -282,6 +293,7 @@ class CSnzi {
           continue;
         }
         if (root_cas_weak(old, old.word + kDirectOne)) {
+          if (ts.direct_hold > 0) --ts.direct_hold;
           bump(ts.direct_arrivals);
           return Ticket{Ticket::Kind::kRoot};
         }
@@ -410,10 +422,7 @@ class CSnzi {
     if (idx >= opts_.max_threads) return;
     ThreadState& ts = arr[idx];
     ts.epoch = ThreadRegistry::index_epoch(idx);
-    ts.leaf = nullptr;
-    ts.sticky = 0;
-    ts.window_propagations = 0;
-    ts.root_free_rearms = 0;
+    forget_window(ts);
   }
 
   // --- write-upgrade support (§3.2.1) ------------------------------------
@@ -510,6 +519,9 @@ class CSnzi {
     std::uint32_t sticky = 0;
     std::uint32_t window_propagations = 0;
     std::uint32_t root_free_rearms = 0;
+    // Direct arrivals left in the hold that follows a decay; while nonzero
+    // the adaptive policy ignores the root's tree-surplus hint.
+    std::uint32_t direct_hold = 0;
     // Registration epoch of the dense thread index this slot was last used
     // under (platform/thread_id.hpp).  Dense indices are recycled when a
     // thread exits (or when the harness re-pins a new worker via
@@ -655,8 +667,8 @@ class CSnzi {
     root_.store(word, std::memory_order_release);
   }
 
-  bool should_arrive_at_tree(std::uint64_t root_word,
-                             std::uint32_t failures) const {
+  bool should_arrive_at_tree(std::uint64_t root_word, std::uint32_t failures,
+                             bool held) const {
     switch (opts_.policy) {
       case ArrivalPolicy::kAlwaysRoot:
         return false;
@@ -664,9 +676,11 @@ class CSnzi {
         return true;
       case ArrivalPolicy::kAdaptive:
         // §5.1: favor direct arrivals until we lose the root CAS repeatedly
-        // or see that other threads have already moved to the tree.
+        // or see that other threads have already moved to the tree.  A
+        // thread in a decay hold just learned that its leaf does not absorb
+        // arrivals, so only lost CASes move it back.
         return failures >= opts_.root_cas_fail_threshold ||
-               tree_count(root_word) > 0;
+               (!held && tree_count(root_word) > 0);
     }
     return false;
   }
@@ -681,17 +695,21 @@ class CSnzi {
     ts.sticky = opts_.sticky_arrivals;
     ts.window_propagations = 0;
     ts.root_free_rearms = 0;
+    ts.direct_hold = 0;
   }
 
-  void rearm_or_decay(ThreadState& ts) {
-    // A noisy window means the leaf kept draining, so tree arrivals were
-    // paying root traffic anyway — decay to the direct path (ts.sticky
-    // stays 0).
-    if (ts.window_propagations > opts_.sticky_decay_propagations) {
-      ts.window_propagations = 0;
-      ts.root_free_rearms = 0;
-      return;
-    }
+  // The window propagated to the root more than sticky_decay_propagations
+  // times: the leaf keeps draining, so each tree arrival pays a leaf RMW on
+  // top of the root RMW a direct arrival pays.  End the window now and
+  // make the next sticky_arrivals arrivals direct.
+  void decay(ThreadState& ts) {
+    ts.sticky = 0;
+    ts.window_propagations = 0;
+    ts.root_free_rearms = 0;
+    ts.direct_hold = opts_.sticky_arrivals;
+  }
+
+  void rearm(ThreadState& ts) {
     ts.window_propagations = 0;
     // A quiet window means the leaf stayed hot: stay in the tree.  Re-arm
     // without touching the root at most sticky_rearm_windows times in a
@@ -720,18 +738,30 @@ class CSnzi {
   }
 
   bool root_depart_direct() {
-    RootView old = root_load(std::memory_order_acquire);
-    while (true) {
-      OLL_DCHECK(direct_count(old.word) > 0);
-      const std::uint64_t desired = old.word - kDirectOne;
-      if (fault_cas_fail(FaultSite::kCasRetry)) {
-        old = root_load(std::memory_order_acquire);
-        continue;
+    const std::uint64_t old = root_fetch_sub(kDirectOne);
+    OLL_DCHECK(direct_count(old) > 0);
+    return !last_departure(old - kDirectOne);
+  }
+
+  // The departure that leaves the root CLOSED with zero surplus is the one
+  // that hands the lock to a waiting writer.
+  static constexpr bool last_departure(std::uint64_t w) noexcept {
+    return total_count(w) == 0 && !is_open(w);
+  }
+
+  // Every departure is one RMW: a depart cannot fail, so it needs no
+  // compare step (DESIGN.md §12.2).  Returns the word it replaced.  The
+  // fused root has no 16-byte fetch_sub and keeps a CAS loop.
+  std::uint64_t root_fetch_sub(std::uint64_t one) {
+#if OLL_DWCAS_CAPABLE
+    if (use_dwcas_) {
+      RootView old = root_load(std::memory_order_acquire);
+      while (!root_cas_weak(old, old.word - one)) {
       }
-      if (root_cas_weak(old, desired)) {
-        return !(total_count(desired) == 0 && !is_open(desired));
-      }
+      return old.word;
     }
+#endif
+    return root_.fetch_sub(one, std::memory_order_acq_rel);
   }
 
   // --- tree arrival/departure: root base cases (Figure 2) ----------------
@@ -754,18 +784,9 @@ class CSnzi {
   }
 
   bool root_depart_tree() {
-    RootView old = root_load(std::memory_order_acquire);
-    while (true) {
-      OLL_DCHECK(tree_count(old.word) > 0);
-      const std::uint64_t desired = old.word - kTreeOne;
-      if (fault_cas_fail(FaultSite::kCasRetry)) {
-        old = root_load(std::memory_order_acquire);
-        continue;
-      }
-      if (root_cas_weak(old, desired)) {
-        return !(total_count(desired) == 0 && !is_open(desired));
-      }
-    }
+    const std::uint64_t old = root_fetch_sub(kTreeOne);
+    OLL_DCHECK(tree_count(old) > 0);
+    return !last_departure(old - kTreeOne);
   }
 
   // --- tree arrival/departure: counter nodes (Figure 2) ------------------
@@ -806,19 +827,8 @@ class CSnzi {
   }
 
   bool tree_depart(Node* node) {
-    std::uint64_t x = node->cnt.load(std::memory_order_acquire);
-    while (true) {
-      OLL_DCHECK(x > 0);
-      if (fault_cas_fail(FaultSite::kCasRetry)) {
-        x = node->cnt.load(std::memory_order_acquire);
-        continue;
-      }
-      if (node->cnt.compare_exchange_weak(x, x - 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-        break;
-      }
-    }
+    const std::uint64_t x = node->cnt.fetch_sub(1, std::memory_order_acq_rel);
+    OLL_DCHECK(x > 0);
     if (x == 1) {
       return node->parent ? tree_depart(node->parent) : root_depart_tree();
     }
@@ -881,12 +891,17 @@ class CSnzi {
     const std::uint32_t epoch = ThreadRegistry::index_epoch(idx);
     if (ts.epoch != epoch) {
       ts.epoch = epoch;
-      ts.leaf = nullptr;
-      ts.sticky = 0;
-      ts.window_propagations = 0;
-      ts.root_free_rearms = 0;
+      forget_window(ts);
     }
     return ts;
+  }
+
+  static void forget_window(ThreadState& ts) {
+    ts.leaf = nullptr;
+    ts.sticky = 0;
+    ts.window_propagations = 0;
+    ts.root_free_rearms = 0;
+    ts.direct_hold = 0;
   }
 
   ThreadState* ensure_thread_state() {

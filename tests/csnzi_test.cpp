@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "platform/fault.hpp"
 #include "platform/memory.hpp"
 #include "platform/thread_id.hpp"
 #include "snzi/csnzi.hpp"
@@ -450,9 +451,11 @@ TEST(CSnziSticky, RecycledThreadIndexDropsInheritedWindow) {
 
 TEST(CSnziSticky, DecaysWhenLeafKeepsDraining) {
   // Solo arrive/depart pairs drain the leaf every time, so every sticky
-  // arrival propagates to the root; with zero tolerated propagations each
-  // window decays and the next arrival re-reads the root.  Cycle: one
-  // root-read arrival + two sticky arrivals.
+  // arrival propagates to the root; with zero tolerated propagations the
+  // first sticky arrival ends its window and the next arrival re-reads the
+  // root.  (The zero CAS-failure threshold then sends that arrival back to
+  // the tree despite the decay hold.)  Cycle: one root-read arrival + one
+  // sticky arrival.
   C c(sticky_tree(2, 0));
   for (int i = 0; i < 9; ++i) {
     auto t = c.arrive();
@@ -461,9 +464,167 @@ TEST(CSnziSticky, DecaysWhenLeafKeepsDraining) {
   }
   const CSnziStatsSnapshot s = c.stats();
   EXPECT_EQ(s.tree_arrivals, 9u);
-  EXPECT_EQ(s.sticky_arrivals, 6u);
-  EXPECT_EQ(s.root_reads, 3u);  // arrivals 1, 4 and 7
+  EXPECT_EQ(s.sticky_arrivals, 4u);
+  EXPECT_EQ(s.root_reads, 5u);  // arrivals 1, 3, 5, 7 and 9
   EXPECT_GE(s.root_propagations, 9u);
+}
+
+// --- decay hold: a draining leaf sends its thread to the root ---------------
+
+constexpr bool fault_compiled_in() { return OLL_FAULTS != 0; }
+
+// Root-CAS failures forced on nearly every attempt (the tree paths' own CAS
+// loops still succeed within a few thousand draws), so the adaptive policy
+// reaches root_cas_fail_threshold and arrives through the tree.
+class ForcedRootCasFailures {
+ public:
+  ForcedRootCasFailures() {
+    FaultProfile p;
+    p.name = "cas-retry";
+    p.cas_fail_p = 1023;
+    fault_enable(p, 0x5eed);
+  }
+  ~ForcedRootCasFailures() { fault_disable(); }
+  ForcedRootCasFailures(const ForcedRootCasFailures&) = delete;
+  ForcedRootCasFailures& operator=(const ForcedRootCasFailures&) = delete;
+};
+
+// Private leaves, a 4-arrival window that decays on its second
+// propagation, and the default CAS-failure threshold (2), so only the
+// root's tree-surplus hint or lost CASes send a thread to the tree.
+CSnziOptions private_leaf_decay() {
+  CSnziOptions o;
+  o.topology_mapping = LeafMapping::kPerThread;
+  o.sticky_arrivals = 4;
+  o.sticky_decay_propagations = 1;
+  return o;
+}
+
+// Index 7 arrives through the tree (forced root-CAS failures) and keeps
+// its ticket, so the root advertises tree surplus to everyone else.
+C::Ticket hold_tree_surplus(C& c) {
+  ScopedThreadIndex idx(7);
+  ForcedRootCasFailures faults;
+  C::Ticket t = c.arrive();
+  EXPECT_TRUE(t.arrived());
+  EXPECT_FALSE(t.is_direct());
+  EXPECT_GT(C::tree_count(c.root_word()), 0u);
+  return t;
+}
+
+// Drives index 3 through one tree window that decays: arrival 1 reads the
+// root, sees the tree surplus and arms the window; arrival 2 is sticky and
+// its propagation (the second of the window) ends it.
+void decay_once(C& c) {
+  for (int i = 0; i < 2; ++i) {
+    auto t = c.arrive();
+    ASSERT_TRUE(t.arrived());
+    EXPECT_FALSE(t.is_direct()) << "arrival " << i;
+    EXPECT_TRUE(c.depart(t));
+  }
+}
+
+TEST(CSnziDecayHold, DrainingLeafHoldsDirectDespiteTreeSurplus) {
+  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
+  C c(private_leaf_decay());
+  C::Ticket other = hold_tree_surplus(c);
+  {
+    ScopedThreadIndex idx(3);
+    ASSERT_NE(c.leaf_index_of(3), c.leaf_index_of(7));
+    const CSnziStatsSnapshot before = c.stats();
+    decay_once(c);
+    // The hold: exactly sticky_arrivals direct arrivals, although the root
+    // still shows index 7's tree surplus throughout.
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_GT(C::tree_count(c.root_word()), 0u);
+      auto t = c.arrive();
+      ASSERT_TRUE(t.arrived());
+      EXPECT_TRUE(t.is_direct()) << "held arrival " << i;
+      EXPECT_TRUE(c.depart(t));
+    }
+    // Hold spent: the tree-surplus hint applies again.
+    auto t = c.arrive();
+    ASSERT_TRUE(t.arrived());
+    EXPECT_FALSE(t.is_direct());
+    EXPECT_TRUE(c.depart(t));
+    const CSnziStatsSnapshot s = c.stats();
+    EXPECT_EQ(s.direct_arrivals - before.direct_arrivals, 4u);
+    EXPECT_EQ(s.tree_arrivals - before.tree_arrivals, 3u);
+    EXPECT_EQ(s.sticky_arrivals - before.sticky_arrivals, 1u);
+    EXPECT_EQ(s.root_reads - before.root_reads, 6u);
+  }
+  EXPECT_TRUE(c.depart(other));
+  EXPECT_FALSE(c.query().nonzero);
+}
+
+TEST(CSnziDecayHold, LostRootCasesStillMoveHeldThreadToTree) {
+  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
+  C c(private_leaf_decay());
+  C::Ticket other = hold_tree_surplus(c);
+  {
+    ScopedThreadIndex idx(3);
+    decay_once(c);
+    auto held = c.arrive();  // one held arrival: direct
+    ASSERT_TRUE(held.arrived());
+    EXPECT_TRUE(held.is_direct());
+    EXPECT_TRUE(c.depart(held));
+    C::Ticket t;
+    {
+      ForcedRootCasFailures faults;
+      t = c.arrive();  // still held, but loses the root CAS twice
+    }
+    ASSERT_TRUE(t.arrived());
+    EXPECT_FALSE(t.is_direct());
+    EXPECT_TRUE(c.depart(t));
+    // The move to the tree armed a fresh window: the next arrival is sticky.
+    const std::uint64_t sticky_before = c.stats().sticky_arrivals;
+    auto next = c.arrive();
+    ASSERT_TRUE(next.arrived());
+    EXPECT_FALSE(next.is_direct());
+    EXPECT_TRUE(c.depart(next));
+    EXPECT_EQ(c.stats().sticky_arrivals, sticky_before + 1);
+  }
+  EXPECT_TRUE(c.depart(other));
+}
+
+// --- one-RMW departures ------------------------------------------------------
+
+// A departure is one fetch_sub; it reports false exactly when it leaves the
+// root CLOSED with zero surplus, whichever counter and width it lands on.
+TEST(CSnziDepart, LastDepartureOnlyAtClosedAndEmpty) {
+  for (const bool fused : {false, true}) {
+    SCOPED_TRACE(fused ? "fused root" : "pointer-width root");
+    CSnziOptions direct = root_only();
+    direct.dwcas_root = fused;
+    CSnziOptions tree = tree_only();
+    tree.dwcas_root = fused;
+    tree.topology_mapping = LeafMapping::kPerThread;
+    for (const CSnziOptions& o : {direct, tree}) {
+      C c(o);
+      auto solo = c.arrive();
+      ASSERT_TRUE(solo.arrived());
+      EXPECT_TRUE(c.depart(solo));  // open and empty: not a last departure
+      C::Ticket t1, t2, t3;
+      {
+        ScopedThreadIndex idx(1);
+        t1 = c.arrive();
+        t2 = c.arrive();  // tree: shares t1's leaf, absorbed there
+      }
+      {
+        ScopedThreadIndex idx(2);
+        t3 = c.arrive();  // tree: a second leaf, a second root count
+      }
+      ASSERT_TRUE(t1.arrived() && t2.arrived() && t3.arrived());
+      EXPECT_EQ(t1.is_direct(), o.policy == ArrivalPolicy::kAlwaysRoot);
+      EXPECT_FALSE(c.close());
+      EXPECT_TRUE(c.depart(t1));   // closed, two left
+      EXPECT_TRUE(c.depart(t3));   // closed, one left (tree: drains a leaf)
+      EXPECT_FALSE(c.depart(t2));  // closed and empty: the handoff
+      EXPECT_FALSE(c.query().nonzero);
+      EXPECT_FALSE(c.query().open);
+      EXPECT_EQ(C::total_count(c.root_word()), 0u);
+    }
+  }
 }
 
 TEST(CSnziSticky, ArrivalSucceedsAfterCloseWhileLeafNonzero) {

@@ -236,6 +236,11 @@ TEST(ParkFaults, LostWakeRecoversWithinBoundedSlices) {
       eventually([&] {
         return word.load(std::memory_order_acquire) == kParkedVal;
       });
+      // Grant only once the waiter is inside park(), past its lost-wake
+      // draw.  A grant that lands between the waiter's parked-marker CAS
+      // and park() skips the draw, and a granter that always wins that
+      // race injects nothing.
+      eventually([] { return parked_thread_count() > 0; });
       park_grant_u32(word, kGrantVal, kParkedVal);
     }
     waiter.join();
