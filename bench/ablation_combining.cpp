@@ -13,11 +13,7 @@
 //                     in-section (harness/driver.cpp), so writers genuinely
 //                     overlap and wait — THIS is the contended cohort-
 //                     metalock incumbent the combining rows must beat
-//   combine         — combining pool on, pointer-width C-SNZI root
-//   combine+dwcas   — the full goll-combining factory kind (combining pool
-//                     + 16-byte fused root); on builds without DWCAS
-//                     support this silently equals the row above
-//   dwcas only      — fused root without combining, to split the credit
+//   combine         — combining pool on: the goll-combining factory kind
 //
 // plus a combining-budget sweep (max slots drained per release) at
 // write-only.  fig5f (0% reads) and fig5c (95% reads) are the workloads
@@ -37,7 +33,6 @@ struct Variant {
   const char* name;
   bool delegate;                  // route writes through with_write()
   bool combine;                   // enable the combining pool
-  bool dwcas;                     // 16-byte fused C-SNZI root
   std::uint32_t combine_budget;   // 0 = lock default
 };
 
@@ -52,7 +47,6 @@ double run_variant(const Variant& v, std::uint32_t threads,
     w.acquires_per_thread = acquires;
     w.seed = 42 + rep;
     w.combine = v.combine;
-    w.dwcas_root = v.dwcas;
     w.delegate_writes = v.delegate;
     if (v.combine_budget != 0) w.combine_budget = v.combine_budget;
     sum += ob::run_workload(oll::LockKind::kGoll, w, ob::Mode::kSim)
@@ -81,11 +75,9 @@ int main(int argc, char** argv) {
   const std::vector<std::uint32_t> thread_counts = {8, 32, 64};
 
   const std::vector<Variant> pieces = {
-      {"cohort baseline (no delegation)", false, false, false, 0},
-      {"delegated, no combine", true, false, false, 0},
-      {"combine, pointer root", true, true, false, 0},
-      {"combine + dwcas root (goll-combining)", true, true, true, 0},
-      {"dwcas root only", true, false, true, 0},
+      {"cohort baseline (no delegation)", false, false, 0},
+      {"delegated, no combine", true, false, 0},
+      {"combine (goll-combining)", true, true, 0},
   };
 
   std::cout << "# Flat-combining ablation: GOLL lock, simulated T5440\n"
@@ -95,10 +87,10 @@ int main(int argc, char** argv) {
   run_table("fig5c 95% reads", 95, pieces, thread_counts, acquires, reps);
 
   const std::vector<Variant> budgets = {
-      {"combine budget 1", true, true, true, 1},
-      {"combine budget 8", true, true, true, 8},
-      {"combine budget 64 (default)", true, true, true, 64},
-      {"combine budget 256", true, true, true, 256},
+      {"combine budget 1", true, true, 1},
+      {"combine budget 8", true, true, 8},
+      {"combine budget 64 (default)", true, true, 64},
+      {"combine budget 256", true, true, 256},
   };
   run_table("combine budget sweep, write-only", 0, budgets, thread_counts,
             acquires, reps);

@@ -9,9 +9,8 @@
 //   * parse_sweep_flags()    the full SweepConfig flag set (mode, threads,
 //                            acquires, reps, cs_work, warmup, leaf_map,
 //                            sticky, metalock, cohort_budget, combine,
-//                            dwcas_root, combine_budget, delegate_writes,
-//                            timeout_ns, fault_profile, watchdog, pin);
-//                            returns 0 on
+//                            combine_budget, delegate_writes, timeout_ns,
+//                            fault_profile, watchdog, pin); returns 0 on
 //                            success, 2 (usage error) after printing a
 //                            message for a malformed value
 //   * run_observability_flags()  the post-sweep --hist/--stats_json/--trace
@@ -100,7 +99,6 @@ inline int parse_sweep_flags(const Flags& flags, SweepConfig& cfg) {
         static_cast<std::uint32_t>(flags.get_u64("cohort_budget", 32));
   }
   cfg.combine = flags.has("combine");
-  cfg.dwcas_root = flags.has("dwcas_root");
   if (flags.has("combine_budget")) {
     cfg.combine_budget =
         static_cast<std::uint32_t>(flags.get_u64("combine_budget", 64));

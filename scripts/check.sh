@@ -108,21 +108,6 @@ cmake --build build-noparkfutex -j "${JOBS}" --target park_test \
   --gtest_filter='AllLocks/ParkPolicyConformance.*' >/dev/null
 echo "==> OLL_PARK_FUTEX=0 build + smoke OK"
 
-echo "==> snzi: OLL_DWCAS=0 build (pointer-width root fallback, §15.3)"
-# The fused 16-byte root must degrade gracefully: dwcas_active() false,
-# root_version() 0, every lock (incl. goll-combining + the mechanism
-# proofs) correct on the fallback root.
-cmake -B build-nodwcas -S . -DOLL_DWCAS=0 \
-  -DOLL_ENABLE_BENCH=OFF -DOLL_ENABLE_EXAMPLES=OFF
-cmake --build build-nodwcas -j "${JOBS}" --target csnzi_test \
-  lock_conformance_test mechanism_test footprint_test
-./build-nodwcas/tests/csnzi_test >/dev/null
-./build-nodwcas/tests/lock_conformance_test >/dev/null
-./build-nodwcas/tests/mechanism_test >/dev/null
-# The root range without root16_: layout and byte ceilings still hold.
-./build-nodwcas/tests/footprint_test >/dev/null
-echo "==> OLL_DWCAS=0 build + smoke OK"
-
 # snzi_stress_test (CloseNeverStrandsStickySurplus,
 # CloseDrainsUnderSustainedStickyArrivals) and csnzi_property_test check
 # the C-SNZI's one-RMW departures and sticky/decay arrival policy as real

@@ -7,6 +7,7 @@
 // benches use the direct templates).
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <concepts>
 #include <memory>
@@ -36,9 +37,9 @@ namespace oll {
 
 enum class LockKind {
   kGoll,
-  // GOLL with the flat-combining/delegation writer mode and the DWCAS
-  // C-SNZI root enabled (locks/combining.hpp, DESIGN.md §15).  with_write()
-  // delegates; plain lock()/unlock() writers still drain the pool.
+  // GOLL with the flat-combining/delegation writer mode enabled
+  // (locks/combining.hpp, DESIGN.md §15).  with_write() delegates; plain
+  // lock()/unlock() writers still drain the pool.
   kGollCombining,
   kFoll,
   kRoll,
@@ -61,53 +62,47 @@ enum class LockKind {
   kOptCentral,
 };
 
+// One row per kind: the display name (bench output, registry, BENCH_*.json
+// keys) and the extra spellings parse_lock_kind accepts.  Rows follow the
+// enum order, which is also all_lock_kinds()'s sweep order.
+struct LockKindName {
+  LockKind kind;
+  const char* name;
+  std::array<std::string_view, 2> aliases;
+};
+
+inline constexpr LockKindName kLockKindNames[] = {
+    {LockKind::kGoll, "GOLL", {"goll"}},
+    {LockKind::kGollCombining, "GOLL-combining", {"goll-combining"}},
+    {LockKind::kFoll, "FOLL", {"foll"}},
+    {LockKind::kRoll, "ROLL", {"roll"}},
+    {LockKind::kKsuh, "KSUH", {"ksuh"}},
+    {LockKind::kSolarisLike, "Solaris-like", {"solaris", "solaris-like"}},
+    {LockKind::kMcsRw, "MCS-RW", {"mcs-rw", "mcsrw"}},
+    {LockKind::kBigReader, "BigReader", {"bigreader", "big-reader"}},
+    {LockKind::kCentral, "Central", {"central"}},
+    {LockKind::kStdShared, "std::shared_mutex", {"std", "shared_mutex"}},
+    {LockKind::kBravoGoll, "BRAVO-GOLL", {"bravo-goll"}},
+    {LockKind::kBravoFoll, "BRAVO-FOLL", {"bravo-foll"}},
+    {LockKind::kBravoRoll, "BRAVO-ROLL", {"bravo-roll"}},
+    {LockKind::kBravoCentral, "BRAVO-Central", {"bravo-central"}},
+    {LockKind::kOptGoll, "OPT-GOLL", {"opt-goll"}},
+    {LockKind::kOptBravoGoll, "OPT-BRAVO-GOLL", {"opt-bravo-goll"}},
+    {LockKind::kOptCentral, "OPT-Central", {"opt-central"}},
+};
+
 inline const char* lock_kind_name(LockKind k) {
-  switch (k) {
-    case LockKind::kGoll: return "GOLL";
-    case LockKind::kGollCombining: return "GOLL-combining";
-    case LockKind::kFoll: return "FOLL";
-    case LockKind::kRoll: return "ROLL";
-    case LockKind::kKsuh: return "KSUH";
-    case LockKind::kSolarisLike: return "Solaris-like";
-    case LockKind::kMcsRw: return "MCS-RW";
-    case LockKind::kBigReader: return "BigReader";
-    case LockKind::kCentral: return "Central";
-    case LockKind::kStdShared: return "std::shared_mutex";
-    case LockKind::kBravoGoll: return "BRAVO-GOLL";
-    case LockKind::kBravoFoll: return "BRAVO-FOLL";
-    case LockKind::kBravoRoll: return "BRAVO-ROLL";
-    case LockKind::kBravoCentral: return "BRAVO-Central";
-    case LockKind::kOptGoll: return "OPT-GOLL";
-    case LockKind::kOptBravoGoll: return "OPT-BRAVO-GOLL";
-    case LockKind::kOptCentral: return "OPT-Central";
+  for (const LockKindName& e : kLockKindNames) {
+    if (e.kind == k) return e.name;
   }
   return "?";
 }
 
 inline std::optional<LockKind> parse_lock_kind(std::string_view s) {
-  if (s == "goll" || s == "GOLL") return LockKind::kGoll;
-  if (s == "goll-combining" || s == "GOLL-combining") {
-    return LockKind::kGollCombining;
+  if (s.empty()) return std::nullopt;  // unused alias slots are empty
+  for (const LockKindName& e : kLockKindNames) {
+    if (s == e.name || s == e.aliases[0] || s == e.aliases[1]) return e.kind;
   }
-  if (s == "foll" || s == "FOLL") return LockKind::kFoll;
-  if (s == "roll" || s == "ROLL") return LockKind::kRoll;
-  if (s == "ksuh" || s == "KSUH") return LockKind::kKsuh;
-  if (s == "solaris" || s == "solaris-like") return LockKind::kSolarisLike;
-  if (s == "mcs-rw" || s == "mcsrw") return LockKind::kMcsRw;
-  if (s == "bigreader" || s == "big-reader") return LockKind::kBigReader;
-  if (s == "central") return LockKind::kCentral;
-  if (s == "std" || s == "shared_mutex") return LockKind::kStdShared;
-  if (s == "bravo-goll" || s == "BRAVO-GOLL") return LockKind::kBravoGoll;
-  if (s == "bravo-foll" || s == "BRAVO-FOLL") return LockKind::kBravoFoll;
-  if (s == "bravo-roll" || s == "BRAVO-ROLL") return LockKind::kBravoRoll;
-  if (s == "bravo-central" || s == "BRAVO-Central") {
-    return LockKind::kBravoCentral;
-  }
-  if (s == "opt-goll" || s == "OPT-GOLL") return LockKind::kOptGoll;
-  if (s == "opt-bravo-goll" || s == "OPT-BRAVO-GOLL") {
-    return LockKind::kOptBravoGoll;
-  }
-  if (s == "opt-central" || s == "OPT-Central") return LockKind::kOptCentral;
   return std::nullopt;
 }
 
@@ -118,15 +113,9 @@ inline std::vector<LockKind> figure5_lock_kinds() {
 }
 
 inline std::vector<LockKind> all_lock_kinds() {
-  return {LockKind::kGoll,      LockKind::kGollCombining,
-          LockKind::kFoll,      LockKind::kRoll,
-          LockKind::kKsuh,      LockKind::kSolarisLike,
-          LockKind::kMcsRw,     LockKind::kBigReader,
-          LockKind::kCentral,   LockKind::kStdShared,
-          LockKind::kBravoGoll, LockKind::kBravoFoll,
-          LockKind::kBravoRoll, LockKind::kBravoCentral,
-          LockKind::kOptGoll,   LockKind::kOptBravoGoll,
-          LockKind::kOptCentral};
+  std::vector<LockKind> kinds;
+  for (const LockKindName& e : kLockKindNames) kinds.push_back(e.kind);
+  return kinds;
 }
 
 // The BRAVO-wrapped variants, for sweeps comparing bias on/off.
@@ -447,10 +436,8 @@ struct LockFactoryOptions {
   // BRAVO wrap): kind, cohort budget, topology (cohort_mcs_lock.hpp).
   MetalockOptions metalock{};
   // Flat-combining/delegation writer mode for the GOLL family (DESIGN.md
-  // §15).  kGollCombining forces combine on (and defaults the DWCAS root
-  // on) regardless; these let a sweep toggle it on plain kGoll for
-  // ablations (--combine / --combine_budget; --dwcas_root maps to
-  // csnzi.dwcas_root above).
+  // §15).  kGollCombining forces combine on regardless; these let a sweep
+  // toggle it on plain kGoll for ablations (--combine / --combine_budget).
   bool combine = false;
   std::uint32_t combine_budget = 64;
   // Global lock registry (platform/lock_registry.hpp): every factory lock
@@ -469,6 +456,66 @@ inline AdapterIdentity adapter_identity(const char* name,
   return id;
 }
 
+// Per-backend option builders: the one place each LockFactoryOptions field
+// is forwarded to the backend that reads it.
+inline GollOptions goll_options(const LockFactoryOptions& o) {
+  GollOptions g;
+  g.max_threads = o.max_threads;
+  g.csnzi = o.csnzi;
+  g.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
+  g.metalock = o.metalock;
+  g.wait_strategy = o.wait_policy;
+  g.combine_budget = o.combine_budget;  // read only when combine is set
+  return g;
+}
+
+inline FollOptions foll_options(const LockFactoryOptions& o) {
+  FollOptions f;
+  f.max_threads = o.max_threads;
+  f.csnzi = o.csnzi;
+  f.topology = o.metalock.topology;
+  f.wait_policy = o.wait_policy;
+  return f;
+}
+
+inline RollOptions roll_options(const LockFactoryOptions& o) {
+  RollOptions r;
+  r.max_threads = o.max_threads;
+  r.csnzi = o.csnzi;
+  r.topology = o.metalock.topology;
+  r.wait_policy = o.wait_policy;
+  return r;
+}
+
+inline CentralRwOptions central_options(const LockFactoryOptions& o) {
+  CentralRwOptions c;
+  c.max_threads = o.max_threads;
+  c.wait_policy = o.wait_policy;
+  return c;
+}
+
+inline BravoOptions bravo_options(const LockFactoryOptions& o) {
+  BravoOptions b;
+  b.max_threads = o.max_threads;
+  b.wait_policy = o.wait_policy;
+  return b;
+}
+
+inline VersionedOptions versioned_options(const LockFactoryOptions& o) {
+  VersionedOptions v;
+  v.max_threads = o.max_threads;
+  return v;
+}
+
+// Wraps a backend in the adapter, registered under the kind's display name.
+template <typename L, typename... Args>
+std::unique_ptr<AnyRwLock> make_adapter(LockKind kind,
+                                        const LockFactoryOptions& o,
+                                        Args&&... args) {
+  return std::make_unique<RwLockAdapter<L>>(
+      adapter_identity(lock_kind_name(kind), o), std::forward<Args>(args)...);
+}
+
 // Construct a lock of the given kind over memory model M.  Returns nullptr
 // only for kStdShared under a simulated memory model (std::shared_mutex
 // cannot be instrumented).
@@ -476,170 +523,56 @@ template <typename M = RealMemory>
 std::unique_ptr<AnyRwLock> make_rwlock(LockKind kind,
                                        const LockFactoryOptions& o = {}) {
   switch (kind) {
-    case LockKind::kGoll: {
-      GollOptions g;
-      g.max_threads = o.max_threads;
-      g.csnzi = o.csnzi;
-      g.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
-      g.metalock = o.metalock;
-      g.wait_strategy = o.wait_policy;
-      g.combine = o.combine;
-      g.combine_budget = o.combine_budget;
-      return std::make_unique<RwLockAdapter<GollLock<M>>>(adapter_identity("GOLL", o), g);
-    }
+    case LockKind::kGoll:
     case LockKind::kGollCombining: {
-      GollOptions g;
-      g.max_threads = o.max_threads;
-      g.csnzi = o.csnzi;
-      // The kind's defaults; CSnzi::normalize drops dwcas_root on builds
-      // without 16-byte atomics (OLL_DWCAS=0 / no __int128).
-      g.csnzi.dwcas_root = true;
-      g.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
-      g.metalock = o.metalock;
-      g.wait_strategy = o.wait_policy;
-      g.combine = true;
-      g.combine_budget = o.combine_budget;
-      return std::make_unique<RwLockAdapter<GollLock<M>>>(
-          adapter_identity("GOLL-combining", o), g);
+      GollOptions g = goll_options(o);
+      g.combine = kind == LockKind::kGollCombining || o.combine;
+      return make_adapter<GollLock<M>>(kind, o, g);
     }
-    case LockKind::kFoll: {
-      FollOptions f;
-      f.max_threads = o.max_threads;
-      f.csnzi = o.csnzi;
-      f.topology = o.metalock.topology;
-      f.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<FollLock<M>>>(adapter_identity("FOLL", o), f);
-    }
-    case LockKind::kRoll: {
-      RollOptions r;
-      r.max_threads = o.max_threads;
-      r.csnzi = o.csnzi;
-      r.topology = o.metalock.topology;
-      r.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<RollLock<M>>>(adapter_identity("ROLL", o), r);
-    }
-    case LockKind::kKsuh: {
-      KsuhOptions k;
-      k.max_threads = o.max_threads;
-      return std::make_unique<RwLockAdapter<KsuhRwLock<M>>>(adapter_identity("KSUH", o), k);
-    }
-    case LockKind::kSolarisLike: {
-      SolarisOptions s;
-      s.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
-      s.wait_strategy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<SolarisRwLock<M>>>(adapter_identity("Solaris-like", o),
-                                                               s);
-    }
-    case LockKind::kMcsRw: {
-      McsRwOptions m;
-      m.max_threads = o.max_threads;
-      return std::make_unique<RwLockAdapter<McsRwLock<M>>>(adapter_identity("MCS-RW", o), m);
-    }
-    case LockKind::kBigReader: {
-      BigReaderOptions b;
-      b.max_threads = o.max_threads;
-      return std::make_unique<RwLockAdapter<BigReaderRwLock<M>>>(adapter_identity("BigReader", o),
-                                                                 b);
-    }
-    case LockKind::kCentral: {
-      CentralRwOptions c;
-      c.max_threads = o.max_threads;
-      c.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<CentralRwLock<M>>>(adapter_identity("Central", o), c);
-    }
-    case LockKind::kStdShared: {
+    case LockKind::kFoll:
+      return make_adapter<FollLock<M>>(kind, o, foll_options(o));
+    case LockKind::kRoll:
+      return make_adapter<RollLock<M>>(kind, o, roll_options(o));
+    case LockKind::kKsuh:
+      return make_adapter<KsuhRwLock<M>>(kind, o, KsuhOptions{o.max_threads});
+    case LockKind::kSolarisLike:
+      return make_adapter<SolarisRwLock<M>>(
+          kind, o, SolarisOptions{o.readers_coalesce_over_writers,
+                                  o.wait_policy});
+    case LockKind::kMcsRw:
+      return make_adapter<McsRwLock<M>>(kind, o, McsRwOptions{o.max_threads});
+    case LockKind::kBigReader:
+      return make_adapter<BigReaderRwLock<M>>(kind, o,
+                                              BigReaderOptions{o.max_threads});
+    case LockKind::kCentral:
+      return make_adapter<CentralRwLock<M>>(kind, o, central_options(o));
+    case LockKind::kStdShared:
       if constexpr (std::is_same_v<M, RealMemory>) {
-        return std::make_unique<RwLockAdapter<std::shared_mutex>>(
-            adapter_identity("std::shared_mutex", o));
+        return make_adapter<std::shared_mutex>(kind, o);
       } else {
         return nullptr;
       }
-    }
-    case LockKind::kBravoGoll: {
-      GollOptions g;
-      g.max_threads = o.max_threads;
-      g.csnzi = o.csnzi;
-      g.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
-      g.metalock = o.metalock;
-      g.wait_strategy = o.wait_policy;
-      BravoOptions b;
-      b.max_threads = o.max_threads;
-      b.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<Bravo<GollLock<M>, M>>>(
-          adapter_identity("BRAVO-GOLL", o), b, g);
-    }
-    case LockKind::kBravoFoll: {
-      FollOptions f;
-      f.max_threads = o.max_threads;
-      f.csnzi = o.csnzi;
-      f.topology = o.metalock.topology;
-      f.wait_policy = o.wait_policy;
-      BravoOptions b;
-      b.max_threads = o.max_threads;
-      b.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<Bravo<FollLock<M>, M>>>(
-          adapter_identity("BRAVO-FOLL", o), b, f);
-    }
-    case LockKind::kBravoRoll: {
-      RollOptions r;
-      r.max_threads = o.max_threads;
-      r.csnzi = o.csnzi;
-      r.topology = o.metalock.topology;
-      r.wait_policy = o.wait_policy;
-      BravoOptions b;
-      b.max_threads = o.max_threads;
-      b.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<Bravo<RollLock<M>, M>>>(
-          adapter_identity("BRAVO-ROLL", o), b, r);
-    }
-    case LockKind::kBravoCentral: {
-      CentralRwOptions c;
-      c.max_threads = o.max_threads;
-      c.wait_policy = o.wait_policy;
-      BravoOptions b;
-      b.max_threads = o.max_threads;
-      b.wait_policy = o.wait_policy;
-      return std::make_unique<RwLockAdapter<Bravo<CentralRwLock<M>, M>>>(
-          adapter_identity("BRAVO-Central", o), b, c);
-    }
-    case LockKind::kOptGoll: {
-      GollOptions g;
-      g.max_threads = o.max_threads;
-      g.csnzi = o.csnzi;
-      g.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
-      g.metalock = o.metalock;
-      g.wait_strategy = o.wait_policy;
-      VersionedOptions v;
-      v.max_threads = o.max_threads;
-      return std::make_unique<
-          RwLockAdapter<VersionedRwLock<GollLock<M>, M>>>(adapter_identity("OPT-GOLL", o), v, g);
-    }
-    case LockKind::kOptBravoGoll: {
-      GollOptions g;
-      g.max_threads = o.max_threads;
-      g.csnzi = o.csnzi;
-      g.readers_coalesce_over_writers = o.readers_coalesce_over_writers;
-      g.metalock = o.metalock;
-      g.wait_strategy = o.wait_policy;
-      BravoOptions b;
-      b.max_threads = o.max_threads;
-      b.wait_policy = o.wait_policy;
-      VersionedOptions v;
-      v.max_threads = o.max_threads;
-      return std::make_unique<
-          RwLockAdapter<VersionedRwLock<Bravo<GollLock<M>, M>, M>>>(
-          adapter_identity("OPT-BRAVO-GOLL", o), v, b, g);
-    }
-    case LockKind::kOptCentral: {
-      CentralRwOptions c;
-      c.max_threads = o.max_threads;
-      c.wait_policy = o.wait_policy;
-      VersionedOptions v;
-      v.max_threads = o.max_threads;
-      return std::make_unique<
-          RwLockAdapter<VersionedRwLock<CentralRwLock<M>, M>>>(adapter_identity("OPT-Central", o),
-                                                               v, c);
-    }
+    case LockKind::kBravoGoll:
+      return make_adapter<Bravo<GollLock<M>, M>>(kind, o, bravo_options(o),
+                                                 goll_options(o));
+    case LockKind::kBravoFoll:
+      return make_adapter<Bravo<FollLock<M>, M>>(kind, o, bravo_options(o),
+                                                 foll_options(o));
+    case LockKind::kBravoRoll:
+      return make_adapter<Bravo<RollLock<M>, M>>(kind, o, bravo_options(o),
+                                                 roll_options(o));
+    case LockKind::kBravoCentral:
+      return make_adapter<Bravo<CentralRwLock<M>, M>>(
+          kind, o, bravo_options(o), central_options(o));
+    case LockKind::kOptGoll:
+      return make_adapter<VersionedRwLock<GollLock<M>, M>>(
+          kind, o, versioned_options(o), goll_options(o));
+    case LockKind::kOptBravoGoll:
+      return make_adapter<VersionedRwLock<Bravo<GollLock<M>, M>, M>>(
+          kind, o, versioned_options(o), bravo_options(o), goll_options(o));
+    case LockKind::kOptCentral:
+      return make_adapter<VersionedRwLock<CentralRwLock<M>, M>>(
+          kind, o, versioned_options(o), central_options(o));
   }
   return nullptr;
 }

@@ -353,7 +353,6 @@ RunResult run_workload(LockKind kind, const WorkloadConfig& config, Mode mode,
   if (config.metalock) opts.metalock.kind = *config.metalock;
   if (config.cohort_budget) opts.metalock.cohort_budget = *config.cohort_budget;
   if (config.combine) opts.combine = true;
-  if (config.dwcas_root) opts.csnzi.dwcas_root = true;
   if (config.combine_budget) opts.combine_budget = *config.combine_budget;
   // Delegation needs the closure-style call; the combining kind (and the
   // --combine override) imply it.

@@ -54,7 +54,6 @@ SweepResult run_sweep(const SweepConfig& config, bool verbose) {
         w.metalock = config.metalock;
         w.cohort_budget = config.cohort_budget;
         w.combine = config.combine;
-        w.dwcas_root = config.dwcas_root;
         w.combine_budget = config.combine_budget;
         w.delegate_writes = config.delegate_writes;
         w.timeout_ns = config.timeout_ns;
@@ -264,7 +263,6 @@ bool run_observability_pass(std::ostream& os,
     w.metalock = sc.metalock;
     w.cohort_budget = sc.cohort_budget;
     w.combine = sc.combine;
-    w.dwcas_root = sc.dwcas_root;
     w.combine_budget = sc.combine_budget;
     w.delegate_writes = sc.delegate_writes;
     w.timeout_ns = sc.timeout_ns;

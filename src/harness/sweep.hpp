@@ -32,9 +32,8 @@ struct SweepConfig {
   // factory default (cohort metalock).
   std::optional<MetalockKind> metalock;
   std::optional<std::uint32_t> cohort_budget;
-  // Flat-combining / DWCAS-root knobs (see workload.hpp).
+  // Flat-combining knobs (see workload.hpp).
   bool combine = false;
-  bool dwcas_root = false;
   std::optional<std::uint32_t> combine_budget;
   bool delegate_writes = false;
   // Robustness knobs (see workload.hpp): per-op acquisition timeout (0 =

@@ -52,13 +52,11 @@ struct WorkloadConfig {
   // Flat-combining/delegation writer mode (DESIGN.md §15).  `combine`
   // enables the lock's combining pool AND routes the loop's write sections
   // through AnyRwLock::with_write (delegation only exists for closure-style
-  // writes); kGollCombining implies both regardless.  dwcas_root selects
-  // the 16-byte fused C-SNZI root (silently degraded on builds without
-  // DWCAS support).  delegate_writes alone routes writes through with_write
-  // without touching factory options — non-combining kinds then execute
-  // acquire-closure-release, the fair baseline for combining ablations.
+  // writes); kGollCombining implies both regardless.  delegate_writes
+  // alone routes writes through with_write without touching factory
+  // options — non-combining kinds then execute acquire-closure-release,
+  // the fair baseline for combining ablations.
   bool combine = false;
-  bool dwcas_root = false;
   std::optional<std::uint32_t> combine_budget;
   bool delegate_writes = false;
 

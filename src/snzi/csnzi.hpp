@@ -61,18 +61,9 @@
 // with zero total surplus.  Sticky arrivals lean on exactly this rule: the
 // "saw the C-SNZI open" point is the root access that armed the window.
 //
-// Root width (DESIGN.md §15): by default the root is the single CAS-able
-// 64-bit word above.  CSnziOptions::dwcas_root selects a 16-byte fused root
-// packing {count word, state, version} and updated with one double-width
-// CAS (x86-64 cmpxchg16b through libatomic; CASP on AArch64): every
-// OPEN<->CLOSED flip stamps a fresh version in the same atomic step that
-// moves the counts, so a reader's count CAS can never succeed blindly
-// across a close/open pair (the open-bit ABA the 64-bit root tolerates),
-// and state+version observation is one load instead of a multi-word read
-// protocol.  When the build lacks 16-byte atomics — or OLL_DWCAS=0, the
-// forced "-mcx16-less" CI leg — the option silently degrades to the
-// pointer-width root; dwcas_active() reports the outcome and
-// root_version() reads 0 in fallback mode.
+// Root width: the root stays one pointer-width word, as in the paper; a
+// 16-byte versioned root measured up to 2x slower on real cores (DESIGN.md
+// §15.3).
 #pragma once
 
 #include <atomic>
@@ -88,19 +79,6 @@
 #include "platform/topology.hpp"
 #include "platform/trace.hpp"
 #include "snzi/csnzi_stats.hpp"
-
-// Build-time capability for the 16-byte root: the OLL_DWCAS kill switch
-// (CMake cache var; the link probe there downgrades it when 16-byte atomics
-// will not link) plus an __int128 toolchain.  Kept as a macro so the
-// fallback build contains no 16-byte atomic instantiation at all.
-#ifndef OLL_DWCAS
-#define OLL_DWCAS 1
-#endif
-#if OLL_DWCAS && defined(__SIZEOF_INT128__)
-#define OLL_DWCAS_CAPABLE 1
-#else
-#define OLL_DWCAS_CAPABLE 0
-#endif
 
 namespace oll {
 
@@ -158,10 +136,6 @@ struct CSnziOptions {
   // the per-thread state array.  0 means kMaxThreads; locks plumb their own
   // max_threads through.
   std::uint32_t max_threads = 0;
-  // Fused 16-byte {count, state, version} root (see file comment).
-  // normalize() clears it when the build cannot do a 16-byte CAS, so callers
-  // may request it unconditionally; dwcas_active() reports the outcome.
-  bool dwcas_root = false;
 };
 
 // Result of Query: (surplus != 0, state == OPEN).
@@ -232,12 +206,7 @@ class CSnzi {
       : opts_(normalize(opts)),
         leaf_map_(opts_.topology, opts_.topology_mapping, opts_.leaves,
                   opts_.leaf_shift) {
-    use_dwcas_ = opts_.dwcas_root;
     root_.store(make_root(0, 0, true), std::memory_order_relaxed);
-#if OLL_DWCAS_CAPABLE
-    root16_.store(pack16(make_root(0, 0, true), 0),
-                  std::memory_order_relaxed);
-#endif
     if (!opts_.lazy_tree) ensure_tree();
   }
 
@@ -278,21 +247,23 @@ class CSnzi {
       return Ticket{};
     }
     std::uint32_t root_failures = 0;
-    RootView old = root_load(std::memory_order_acquire);
+    std::uint64_t old = root_.load(std::memory_order_acquire);
     bump(ts.root_reads);
     while (true) {
-      if (!is_open(old.word)) return Ticket{};
-      if (!should_arrive_at_tree(old.word, root_failures,
+      if (!is_open(old)) return Ticket{};
+      if (!should_arrive_at_tree(old, root_failures,
                                  ts.direct_hold > 0)) {
         if (fault_cas_fail(FaultSite::kCasRetry)) {
           // Injected spurious failure: legal wherever compare_exchange_weak
           // may fail spuriously.  Reload and retry like a genuine miss.
-          old = root_load(std::memory_order_acquire);
+          old = root_.load(std::memory_order_acquire);
           ++root_failures;
           bump(ts.root_cas_failures);
           continue;
         }
-        if (root_cas_weak(old, old.word + kDirectOne)) {
+        if (root_.compare_exchange_weak(old, old + kDirectOne,
+                                        std::memory_order_acq_rel,
+                                        std::memory_order_acquire)) {
           if (ts.direct_hold > 0) --ts.direct_hold;
           bump(ts.direct_arrivals);
           return Ticket{Ticket::Kind::kRoot};
@@ -326,7 +297,7 @@ class CSnzi {
   // Query: (surplus > 0, open).  A single root read — the whole point of
   // SNZI is that this is accurate without touching the tree.
   SnziQuery query() const {
-    const std::uint64_t w = root_load(std::memory_order_acquire).word;
+    const std::uint64_t w = root_.load(std::memory_order_acquire);
     return SnziQuery{total_count(w) > 0, is_open(w)};
   }
 
@@ -334,15 +305,16 @@ class CSnzi {
   // iff the C-SNZI was open with zero surplus (i.e. the caller atomically
   // "acquired" the empty indicator).
   bool close() {
-    RootView old = root_load(std::memory_order_acquire);
+    std::uint64_t old = root_.load(std::memory_order_acquire);
     while (true) {
-      if (!is_open(old.word)) return false;
-      const std::uint64_t desired = old.word & ~kOpenBit;
+      if (!is_open(old)) return false;
+      const std::uint64_t desired = old & ~kOpenBit;
       if (fault_cas_fail(FaultSite::kCasRetry)) {
-        old = root_load(std::memory_order_acquire);
+        old = root_.load(std::memory_order_acquire);
         continue;
       }
-      if (root_cas_weak(old, desired)) {
+      if (root_.compare_exchange_weak(old, desired, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
         trace_event(TraceEventType::kCsnziClose, this);
         return total_count(desired) == 0;
       }
@@ -353,24 +325,6 @@ class CSnzi {
   // true iff the state changed OPEN->CLOSED (writers use this as their
   // uncontended fast path).
   bool close_if_empty() {
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      // The fused root needs the current version in `expected`, so this
-      // path pays one root load the pointer-width blind CAS below avoids;
-      // in exchange the successful close stamps version+1 in the same
-      // 16-byte CAS that flips the state.
-      unsigned __int128 cur = root16_.load(std::memory_order_acquire);
-      while (lo64(cur) == make_root(0, 0, true)) {
-        if (root16_.compare_exchange_weak(
-                cur, pack16(make_root(0, 0, false), hi64(cur) + 1),
-                std::memory_order_acq_rel, std::memory_order_acquire)) {
-          trace_event(TraceEventType::kCsnziClose, this);
-          return true;
-        }
-      }
-      return false;
-    }
-#endif
     std::uint64_t old = make_root(0, 0, true);
     if (root_.compare_exchange_strong(old, make_root(0, 0, false),
                                       std::memory_order_acq_rel,
@@ -383,10 +337,10 @@ class CSnzi {
 
   // Open: requires CLOSED with zero surplus (lock is write-held by caller).
   void open() {
-    OLL_DCHECK(!is_open(root_load(std::memory_order_relaxed).word));
-    OLL_DCHECK(total_count(root_load(std::memory_order_relaxed).word) == 0);
+    OLL_DCHECK(!is_open(root_.load(std::memory_order_relaxed)));
+    OLL_DCHECK(total_count(root_.load(std::memory_order_relaxed)) == 0);
     trace_event(TraceEventType::kCsnziOpen, this);
-    root_store_exclusive(make_root(0, 0, true));
+    root_.store(make_root(0, 0, true), std::memory_order_release);
   }
 
   // OpenWithArrivals (§2.1): atomically open, perform `count` arrivals
@@ -394,11 +348,11 @@ class CSnzi {
   // direct tickets), and optionally close again (writers still queued).
   // Requires CLOSED with zero surplus.
   void open_with_arrivals(std::uint64_t count, bool then_close) {
-    OLL_DCHECK(!is_open(root_load(std::memory_order_relaxed).word));
-    OLL_DCHECK(total_count(root_load(std::memory_order_relaxed).word) == 0);
+    OLL_DCHECK(!is_open(root_.load(std::memory_order_relaxed)));
+    OLL_DCHECK(total_count(root_.load(std::memory_order_relaxed)) == 0);
     OLL_DCHECK(count <= kCountMask);
     if (!then_close) trace_event(TraceEventType::kCsnziOpen, this);
-    root_store_exclusive(make_root(count, 0, !then_close));
+    root_.store(make_root(count, 0, !then_close), std::memory_order_release);
   }
 
   // A ticket departing directly from the root; used by lock code when a
@@ -441,17 +395,11 @@ class CSnzi {
       tree_depart(t.node_);  // cannot be last: our direct arrival counts
       t = Ticket{Ticket::Kind::kRoot};
     }
-    // Sole holder iff direct == 1 and tree == 0.  The fused root also pins
-    // the version: a close/open epoch between the load and the CAS makes
-    // the upgrade fail (conservatively — the sole surplus then predates the
-    // reopen), where the 64-bit word would ABA straight through.
-    RootView expected{make_root(1, 0, true), 0};
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      expected.version = root_load(std::memory_order_acquire).version;
-    }
-#endif
-    return root_cas_strong(expected, make_root(0, 0, false));
+    // Sole holder iff direct == 1 and tree == 0.
+    std::uint64_t expected = make_root(1, 0, true);
+    return root_.compare_exchange_strong(expected, make_root(0, 0, false),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire);
   }
 
   // Inverse of the above for lock downgrade: caller owns the closed, empty
@@ -463,16 +411,8 @@ class CSnzi {
 
   // --- introspection (tests / diagnostics) -------------------------------
   std::uint64_t root_word() const {
-    return root_load(std::memory_order_acquire).word;
+    return root_.load(std::memory_order_acquire);
   }
-  // Version stamp of the fused root: bumps exactly when the OPEN bit flips.
-  // Always 0 in pointer-width mode.
-  std::uint64_t root_version() const {
-    return root_load(std::memory_order_acquire).version;
-  }
-  // Whether the 16-byte root is live (dwcas_root requested AND the build is
-  // capable); false means the pointer-width fallback is running.
-  bool dwcas_active() const { return use_dwcas_; }
   bool tree_allocated() const {
     return tree_storage_.load(std::memory_order_acquire) != nullptr;
   }
@@ -568,103 +508,7 @@ class CSnzi {
                                              : LeafMapping::kSmtCluster;
     }
     if (o.topology == nullptr) o.topology = &Topology::system();
-#if !OLL_DWCAS_CAPABLE
-    o.dwcas_root = false;  // pointer-width fallback (see file comment)
-#endif
     return o;
-  }
-
-  // --- root access: one logical view over both widths ---------------------
-  // The packed 64-bit count/state word plus the version stamp (always 0 in
-  // pointer-width mode).  Every root CAS loop runs on this view so the two
-  // widths share one control flow.
-  struct RootView {
-    std::uint64_t word;
-    std::uint64_t version;
-  };
-
-#if OLL_DWCAS_CAPABLE
-  static constexpr unsigned __int128 pack16(std::uint64_t word,
-                                            std::uint64_t version) noexcept {
-    return (static_cast<unsigned __int128>(version) << 64) | word;
-  }
-  static constexpr std::uint64_t lo64(unsigned __int128 v) noexcept {
-    return static_cast<std::uint64_t>(v);
-  }
-  static constexpr std::uint64_t hi64(unsigned __int128 v) noexcept {
-    return static_cast<std::uint64_t>(v >> 64);
-  }
-#endif
-
-  RootView root_load(std::memory_order mo) const {
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      const unsigned __int128 v = root16_.load(mo);
-      return RootView{lo64(v), hi64(v)};
-    }
-#endif
-    return RootView{root_.load(mo), 0};
-  }
-
-  // Weak CAS on the root view; on failure `old` holds the fresh view, like
-  // compare_exchange_weak.  In DWCAS mode an OPEN-bit flip stamps version+1
-  // inside the same 16-byte CAS — state, count and version move in one
-  // atomic step, which is the entire point of the fused root.
-  bool root_cas_weak(RootView& old, std::uint64_t desired) {
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      const std::uint64_t ver =
-          old.version + (is_open(old.word) != is_open(desired) ? 1 : 0);
-      unsigned __int128 expected = pack16(old.word, old.version);
-      if (root16_.compare_exchange_weak(expected, pack16(desired, ver),
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_acquire)) {
-        return true;
-      }
-      old = RootView{lo64(expected), hi64(expected)};
-      return false;
-    }
-#endif
-    return root_.compare_exchange_weak(old.word, desired,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire);
-  }
-
-  bool root_cas_strong(RootView& old, std::uint64_t desired) {
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      const std::uint64_t ver =
-          old.version + (is_open(old.word) != is_open(desired) ? 1 : 0);
-      unsigned __int128 expected = pack16(old.word, old.version);
-      if (root16_.compare_exchange_strong(expected, pack16(desired, ver),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-        return true;
-      }
-      old = RootView{lo64(expected), hi64(expected)};
-      return false;
-    }
-#endif
-    return root_.compare_exchange_strong(old.word, desired,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire);
-  }
-
-  // Plain release store of a new root word; caller owns the root
-  // exclusively (CLOSED with zero surplus), so no concurrent update can
-  // succeed between our load of the version and the store.
-  void root_store_exclusive(std::uint64_t word) {
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      const unsigned __int128 cur =
-          root16_.load(std::memory_order_relaxed);
-      const std::uint64_t ver =
-          hi64(cur) + (is_open(lo64(cur)) != is_open(word) ? 1 : 0);
-      root16_.store(pack16(word, ver), std::memory_order_release);
-      return;
-    }
-#endif
-    root_.store(word, std::memory_order_release);
   }
 
   bool should_arrive_at_tree(std::uint64_t root_word, std::uint32_t failures,
@@ -722,23 +566,30 @@ class CSnzi {
       return;
     }
     ts.root_free_rearms = 0;
-    const std::uint64_t w = root_load(std::memory_order_acquire).word;
+    const std::uint64_t w = root_.load(std::memory_order_acquire);
     bump(ts.root_reads);
     if (is_open(w)) ts.sticky = opts_.sticky_arrivals;
   }
 
   // --- direct root arrival/departure -------------------------------------
   bool root_arrive_direct() {
-    RootView old = root_load(std::memory_order_acquire);
+    std::uint64_t old = root_.load(std::memory_order_acquire);
     while (true) {
-      if (!is_open(old.word)) return false;
-      if (root_cas_weak(old, old.word + kDirectOne)) return true;
-      // The failed CAS stored the current view into `old`; loop on it.
+      if (!is_open(old)) return false;
+      if (root_.compare_exchange_weak(old, old + kDirectOne,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        return true;
+      }
+      // The failed CAS stored the current word into `old`; loop on it.
     }
   }
 
+  // Every departure is one RMW: a depart cannot fail, so it needs no
+  // compare step (DESIGN.md §12.2).
   bool root_depart_direct() {
-    const std::uint64_t old = root_fetch_sub(kDirectOne);
+    const std::uint64_t old =
+        root_.fetch_sub(kDirectOne, std::memory_order_acq_rel);
     OLL_DCHECK(direct_count(old) > 0);
     return !last_departure(old - kDirectOne);
   }
@@ -749,21 +600,6 @@ class CSnzi {
     return total_count(w) == 0 && !is_open(w);
   }
 
-  // Every departure is one RMW: a depart cannot fail, so it needs no
-  // compare step (DESIGN.md §12.2).  Returns the word it replaced.  The
-  // fused root has no 16-byte fetch_sub and keeps a CAS loop.
-  std::uint64_t root_fetch_sub(std::uint64_t one) {
-#if OLL_DWCAS_CAPABLE
-    if (use_dwcas_) {
-      RootView old = root_load(std::memory_order_acquire);
-      while (!root_cas_weak(old, old.word - one)) {
-      }
-      return old.word;
-    }
-#endif
-    return root_.fetch_sub(one, std::memory_order_acq_rel);
-  }
-
   // --- tree arrival/departure: root base cases (Figure 2) ----------------
   // Fails only when CLOSED with zero total surplus; see file comment.
   bool root_arrive_tree(ThreadState* ts) {
@@ -771,20 +607,25 @@ class CSnzi {
       ++ts->window_propagations;
       bump(ts->root_propagations);
     }
-    RootView old = root_load(std::memory_order_acquire);
+    std::uint64_t old = root_.load(std::memory_order_acquire);
     while (true) {
-      if (!is_open(old.word) && total_count(old.word) == 0) return false;
+      if (!is_open(old) && total_count(old) == 0) return false;
       if (fault_cas_fail(FaultSite::kCasRetry)) {
-        old = root_load(std::memory_order_acquire);
+        old = root_.load(std::memory_order_acquire);
         continue;
       }
-      if (root_cas_weak(old, old.word + kTreeOne)) return true;
+      if (root_.compare_exchange_weak(old, old + kTreeOne,
+                                      std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        return true;
+      }
       if (ts != nullptr) bump(ts->root_cas_failures);
     }
   }
 
   bool root_depart_tree() {
-    const std::uint64_t old = root_fetch_sub(kTreeOne);
+    const std::uint64_t old =
+        root_.fetch_sub(kTreeOne, std::memory_order_acq_rel);
     OLL_DCHECK(tree_count(old) > 0);
     return !last_departure(old - kTreeOne);
   }
@@ -941,16 +782,6 @@ class CSnzi {
   // Lazily-allocated per-thread state array (same publication scheme).
   std::atomic<ThreadState*> thread_state_{nullptr};
   alignas(kFalseSharingRange) typename M::template Atomic<std::uint64_t> root_;
-#if OLL_DWCAS_CAPABLE
-  // 16-byte fused root, live instead of root_ when use_dwcas_ is set.
-  // Sharing root_'s range is deliberate: exactly one of the two is ever
-  // touched after construction.
-  typename M::template Atomic<unsigned __int128> root16_{0};
-#endif
-  // Resolved at construction from opts_.dwcas_root (normalize() already
-  // cleared it on incapable builds); read-only afterwards, and read only
-  // right before touching the root, so it lives on the root's range.
-  bool use_dwcas_ = false;
 
  public:
   // Member address ranges for the layout test (tests/footprint_test.cpp):
@@ -964,10 +795,6 @@ class CSnzi {
     f("csnzi.tree_storage_", &tree_storage_, sizeof(tree_storage_), kRead);
     f("csnzi.thread_state_", &thread_state_, sizeof(thread_state_), kRead);
     f("csnzi.root_", &root_, sizeof(root_), kRoot);
-#if OLL_DWCAS_CAPABLE
-    f("csnzi.root16_", &root16_, sizeof(root16_), kRoot);
-#endif
-    f("csnzi.use_dwcas_", &use_dwcas_, sizeof(use_dwcas_), kRoot);
   }
 };
 

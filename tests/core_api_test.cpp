@@ -174,6 +174,12 @@ TEST(Factory, NamesRoundTrip) {
   EXPECT_EQ(parse_lock_kind("central"), LockKind::kCentral);
   EXPECT_EQ(parse_lock_kind("std"), LockKind::kStdShared);
   EXPECT_FALSE(parse_lock_kind("nonsense").has_value());
+  EXPECT_FALSE(parse_lock_kind("").has_value());
+  // Every printed name (bench output, BENCH_*.json keys) parses back.
+  for (LockKind kind : all_lock_kinds()) {
+    EXPECT_EQ(parse_lock_kind(lock_kind_name(kind)), kind)
+        << lock_kind_name(kind);
+  }
 }
 
 TEST(Factory, Figure5LegendOrder) {

@@ -590,40 +590,34 @@ TEST(CSnziDecayHold, LostRootCasesStillMoveHeldThreadToTree) {
 // --- one-RMW departures ------------------------------------------------------
 
 // A departure is one fetch_sub; it reports false exactly when it leaves the
-// root CLOSED with zero surplus, whichever counter and width it lands on.
+// root CLOSED with zero surplus, whichever counter it lands on.
 TEST(CSnziDepart, LastDepartureOnlyAtClosedAndEmpty) {
-  for (const bool fused : {false, true}) {
-    SCOPED_TRACE(fused ? "fused root" : "pointer-width root");
-    CSnziOptions direct = root_only();
-    direct.dwcas_root = fused;
-    CSnziOptions tree = tree_only();
-    tree.dwcas_root = fused;
-    tree.topology_mapping = LeafMapping::kPerThread;
-    for (const CSnziOptions& o : {direct, tree}) {
-      C c(o);
-      auto solo = c.arrive();
-      ASSERT_TRUE(solo.arrived());
-      EXPECT_TRUE(c.depart(solo));  // open and empty: not a last departure
-      C::Ticket t1, t2, t3;
-      {
-        ScopedThreadIndex idx(1);
-        t1 = c.arrive();
-        t2 = c.arrive();  // tree: shares t1's leaf, absorbed there
-      }
-      {
-        ScopedThreadIndex idx(2);
-        t3 = c.arrive();  // tree: a second leaf, a second root count
-      }
-      ASSERT_TRUE(t1.arrived() && t2.arrived() && t3.arrived());
-      EXPECT_EQ(t1.is_direct(), o.policy == ArrivalPolicy::kAlwaysRoot);
-      EXPECT_FALSE(c.close());
-      EXPECT_TRUE(c.depart(t1));   // closed, two left
-      EXPECT_TRUE(c.depart(t3));   // closed, one left (tree: drains a leaf)
-      EXPECT_FALSE(c.depart(t2));  // closed and empty: the handoff
-      EXPECT_FALSE(c.query().nonzero);
-      EXPECT_FALSE(c.query().open);
-      EXPECT_EQ(C::total_count(c.root_word()), 0u);
+  CSnziOptions tree = tree_only();
+  tree.topology_mapping = LeafMapping::kPerThread;
+  for (const CSnziOptions& o : {root_only(), tree}) {
+    C c(o);
+    auto solo = c.arrive();
+    ASSERT_TRUE(solo.arrived());
+    EXPECT_TRUE(c.depart(solo));  // open and empty: not a last departure
+    C::Ticket t1, t2, t3;
+    {
+      ScopedThreadIndex idx(1);
+      t1 = c.arrive();
+      t2 = c.arrive();  // tree: shares t1's leaf, absorbed there
     }
+    {
+      ScopedThreadIndex idx(2);
+      t3 = c.arrive();  // tree: a second leaf, a second root count
+    }
+    ASSERT_TRUE(t1.arrived() && t2.arrived() && t3.arrived());
+    EXPECT_EQ(t1.is_direct(), o.policy == ArrivalPolicy::kAlwaysRoot);
+    EXPECT_FALSE(c.close());
+    EXPECT_TRUE(c.depart(t1));   // closed, two left
+    EXPECT_TRUE(c.depart(t3));   // closed, one left (tree: drains a leaf)
+    EXPECT_FALSE(c.depart(t2));  // closed and empty: the handoff
+    EXPECT_FALSE(c.query().nonzero);
+    EXPECT_FALSE(c.query().open);
+    EXPECT_EQ(C::total_count(c.root_word()), 0u);
   }
 }
 
@@ -727,67 +721,6 @@ TEST(CSnziOptionsNorm, AutoMappingResolution) {
   o.leaf_shift = 3;  // seed-style explicit shift keeps the static scheme
   C shifted(o);
   EXPECT_EQ(shifted.options().topology_mapping, LeafMapping::kStaticShift);
-}
-
-// --- DWCAS-fused root (DESIGN.md §15.3) --------------------------------------
-
-CSnziOptions dwcas_root() {
-  CSnziOptions o;
-  o.dwcas_root = true;
-  return o;
-}
-
-// The fused root must be a drop-in: the Figure 1 sequential specification
-// holds unchanged.  (The conformance + stress suites cover it concurrently
-// via the goll-combining kind; this pins the sequential contract.)
-TEST(CSnziDwcas, SequentialSpecHoldsOnFusedRoot) {
-  C c(dwcas_root());
-  EXPECT_TRUE(c.query().open);
-  auto t = c.arrive();
-  ASSERT_TRUE(t.arrived());
-  EXPECT_TRUE(c.query().nonzero);
-  EXPECT_FALSE(c.close_if_empty());  // surplus nonzero
-  EXPECT_TRUE(c.depart(t));
-  EXPECT_TRUE(c.close_if_empty());
-  EXPECT_FALSE(c.query().open);
-  EXPECT_FALSE(c.arrive().arrived());  // closed rejects arrivals
-  c.open_with_arrivals(2, /*then_close=*/true);
-  EXPECT_TRUE(c.depart(c.direct_ticket()));
-  EXPECT_FALSE(c.depart(c.direct_ticket()));  // last departure, closed
-}
-
-// Every OPEN<->CLOSED flip stamps a fresh version in the same atomic step;
-// arrivals and departs (no state flip) leave it untouched.  On builds
-// without 16-byte atomics the request silently degrades to the
-// pointer-width root: dwcas_active() false, root_version() pinned to 0.
-TEST(CSnziDwcas, VersionAdvancesOnFlipsOnly) {
-  C c(dwcas_root());
-  const std::uint64_t v0 = c.root_version();
-  EXPECT_TRUE(c.close());
-  const std::uint64_t v1 = c.root_version();
-  c.open();
-  const std::uint64_t v2 = c.root_version();
-  EXPECT_TRUE(c.close_if_empty());
-  const std::uint64_t v3 = c.root_version();
-  c.open();
-  if (c.dwcas_active()) {
-    EXPECT_LT(v0, v1);
-    EXPECT_LT(v1, v2);
-    EXPECT_LT(v2, v3);
-    // Arrive/depart: surplus changes, state does not — version stable.
-    const std::uint64_t v4 = c.root_version();
-    auto t = c.arrive();
-    ASSERT_TRUE(t.arrived());
-    EXPECT_EQ(c.root_version(), v4);
-    EXPECT_TRUE(c.depart(t));
-    EXPECT_EQ(c.root_version(), v4);
-  } else {
-    EXPECT_EQ(v0, 0u);
-    EXPECT_EQ(v1, 0u);
-    EXPECT_EQ(v2, 0u);
-    EXPECT_EQ(v3, 0u);
-    EXPECT_FALSE(c.dwcas_active());
-  }
 }
 
 // --- plain SNZI wrapper -------------------------------------------------------

@@ -252,9 +252,6 @@ TEST(Layout, CSnziRootHasItsOwnRange) {
   o.max_threads = 4;
   auto c = std::make_unique<CSnzi<>>(o);
   expect_groups_disjoint(layout_of(*c));
-  o.dwcas_root = true;
-  auto d = std::make_unique<CSnzi<>>(o);
-  expect_groups_disjoint(layout_of(*d));
 }
 
 TEST(Layout, GollHotWordsAvoidReadMostlyFields) {
