@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -180,6 +183,75 @@ void acquire_release_loop(AnyRwLock& lock, const WorkloadConfig& cfg,
   g_sink.fetch_add(sink, std::memory_order_relaxed);
 }
 
+// A sim run whose interleaving could not be set up still completes, but its
+// virtual times then follow the host scheduler; say so once per process.
+void warn_sim_interleaving(const char* call, int err) {
+  static std::atomic<bool> warned{false};
+  if (warned.exchange(true, std::memory_order_relaxed)) return;
+  std::fprintf(stderr,
+               "sim: %s failed (%s); simulated numbers depend on the host "
+               "scheduler\n",
+               call, std::strerror(err));
+}
+
+// The schedule a sim run relies on (DESIGN.md §3).  The calling thread, and
+// every thread it spawns while the guard lives (a thread inherits its
+// creator's CPU mask and scheduling policy), runs on the lowest CPU of the
+// caller's affinity mask under SCHED_FIFO.  Under the default CFS policy
+// sched_yield() is nearly a no-op, so one worker could run its whole loop
+// alone and hide all concurrency from the model.  A real-time yield moves
+// the thread behind every other thread of its priority queued on the same
+// CPU, a round-robin rotation, but only among the threads of one CPU.
+// FIFO rather than RR: an RR timeslice expiring mid-step would move a thread
+// at a wall-clock-dependent point and make runs differ; under FIFO only the
+// program's own yields and blocking calls change who runs (every wait in the
+// library yields or parks, DESIGN.md §3).  The coordinator takes part in the
+// rotation too, so it releases the workers at the same point of it every
+// run.  The caller's policy and mask come back on destruction.
+class SimSchedule {
+ public:
+  SimSchedule() {
+    if (sched_getaffinity(0, sizeof(saved_mask_), &saved_mask_) != 0) {
+      warn_sim_interleaving("sched_getaffinity", errno);
+    } else {
+      int cpu = 0;
+      while (!CPU_ISSET(cpu, &saved_mask_)) ++cpu;  // the mask is never empty
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      confined_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+      if (!confined_) warn_sim_interleaving("sched_setaffinity", errno);
+    }
+    (void)pthread_getschedparam(pthread_self(), &saved_policy_,
+                                &saved_param_);
+    sched_param fifo{};
+    fifo.sched_priority = 1;
+    const int err = pthread_setschedparam(pthread_self(), SCHED_FIFO, &fifo);
+    real_time_ = err == 0;
+    if (!real_time_) {
+      warn_sim_interleaving("pthread_setschedparam(SCHED_FIFO)", err);
+    }
+  }
+  ~SimSchedule() {
+    if (real_time_) {
+      (void)pthread_setschedparam(pthread_self(), saved_policy_,
+                                  &saved_param_);
+    }
+    if (confined_) {
+      (void)sched_setaffinity(0, sizeof(saved_mask_), &saved_mask_);
+    }
+  }
+  SimSchedule(const SimSchedule&) = delete;
+  SimSchedule& operator=(const SimSchedule&) = delete;
+
+ private:
+  cpu_set_t saved_mask_{};
+  int saved_policy_ = SCHED_OTHER;
+  sched_param saved_param_{};
+  bool confined_ = false;
+  bool real_time_ = false;
+};
+
 // Timestamp source for simulated runs: the calling thread's virtual clock.
 // Harness-side code (drains, exports) runs without a ThreadContext and falls
 // back to real time — such records are out-of-band anyway.
@@ -233,6 +305,8 @@ RunResult run_threads(AnyRwLock& lock, const WorkloadConfig& cfg,
   std::atomic<bool> go{false};
   std::atomic<std::uint32_t> warm_done{0};
   std::atomic<bool> go_measured{false};
+  std::optional<SimSchedule> schedule;
+  if (simulated) schedule.emplace();
 
   for (std::uint32_t w = 0; w < cfg.threads; ++w) {
     threads.emplace_back([&, w] {
@@ -257,17 +331,8 @@ RunResult run_threads(AnyRwLock& lock, const WorkloadConfig& cfg,
         }
       }
       std::unique_ptr<sim::ThreadGuard> guard;
-      if (simulated) {
-        guard = std::make_unique<sim::ThreadGuard>(*machine, w);
-        // Virtual time only advances meaningfully if the workers genuinely
-        // interleave.  Under the default CFS policy sched_yield() is nearly
-        // a no-op, so one worker can run its whole loop alone, which hides
-        // all concurrency from the model.  SCHED_RR's yield semantics are a
-        // true round-robin rotation; fall back silently if not permitted.
-        sched_param prio{};
-        prio.sched_priority = 1;
-        (void)pthread_setschedparam(pthread_self(), SCHED_RR, &prio);
-      }
+      // Sim workers inherit the run's SimSchedule (one CPU, SCHED_FIFO).
+      if (simulated) guard = std::make_unique<sim::ThreadGuard>(*machine, w);
       ready.fetch_add(1, std::memory_order_acq_rel);
       spin_until([&] { return go.load(std::memory_order_acquire); });
       if (warmup) {
@@ -301,6 +366,7 @@ RunResult run_threads(AnyRwLock& lock, const WorkloadConfig& cfg,
   }
   for (auto& t : threads) t.join();
   const double wall_s = wall.elapsed_s();
+  schedule.reset();
   if (watchdog) watchdog->stop();
   if (faults_armed) fault_disable();
 

@@ -129,7 +129,7 @@ void TelemetryExporter::stop() {
 }
 
 void TelemetryExporter::run() {
-  // Sim-mode bench workers run SCHED_RR (driver.cpp) and spin, which can
+  // Sim-mode bench workers run SCHED_FIFO (driver.cpp) and spin, which can
   // starve a normal-priority thread for entire cells and leave only the
   // final flush with real samples.  The exporter sleeps virtually always,
   // so outranking them costs the workers nothing; fall back silently where

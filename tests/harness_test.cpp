@@ -2,8 +2,12 @@
 // workload (§5.1 methodology), sim runs produce sane virtual time and
 // counters, the sweep machinery aggregates correctly, and the flag parser.
 #include <gtest/gtest.h>
+#include <sched.h>
+#include <unistd.h>
 
+#include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "harness/cli.hpp"
 #include "harness/driver.hpp"
@@ -101,6 +105,122 @@ TEST(Driver, CsWorkIncreasesTime) {
   RunResult a = run_workload(LockKind::kGoll, fast, Mode::kSim);
   RunResult b = run_workload(LockKind::kGoll, slow, Mode::kSim);
   EXPECT_GT(b.seconds, a.seconds);
+}
+
+cpu_set_t current_cpu_mask() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  return mask;
+}
+
+int lowest_cpu(const cpu_set_t& mask) {
+  int cpu = 0;
+  while (!CPU_ISSET(cpu, &mask)) ++cpu;
+  return cpu;
+}
+
+// Starts the test thread from a schedule it sets itself, whatever earlier
+// tests left: SCHED_OTHER, and every online CPU but the first where the
+// host has three or more and allows it, so the checks below tell "the
+// caller's mask" apart from both a one-CPU mask and CPU 0.  The original
+// schedule returns at scope end.
+class KnownCallerSchedule {
+ public:
+  KnownCallerSchedule()
+      : original_mask_(current_cpu_mask()),
+        original_policy_(sched_getscheduler(0)) {
+    EXPECT_EQ(sched_getparam(0, &original_param_), 0);
+    const sched_param other{};
+    EXPECT_EQ(sched_setscheduler(0, SCHED_OTHER, &other), 0);
+    const long cpus = sysconf(_SC_NPROCESSORS_ONLN);
+    if (cpus >= 3) {
+      cpu_set_t want;
+      CPU_ZERO(&want);
+      for (long c = 1; c < cpus && c < CPU_SETSIZE; ++c) CPU_SET(c, &want);
+      // Refused where the process's cpuset holds none of these CPUs.
+      (void)sched_setaffinity(0, sizeof(want), &want);
+    }
+    mask_ = current_cpu_mask();  // the kernel keeps the CPUs we may use
+  }
+  ~KnownCallerSchedule() {
+    EXPECT_EQ(sched_setaffinity(0, sizeof(original_mask_), &original_mask_),
+              0);
+    EXPECT_EQ(sched_setscheduler(0, original_policy_, &original_param_), 0);
+  }
+  const cpu_set_t& mask() const { return mask_; }
+
+ private:
+  cpu_set_t original_mask_;
+  int original_policy_;
+  sched_param original_param_{};
+  cpu_set_t mask_{};
+};
+
+// A sim run puts the caller on one CPU under SCHED_FIFO while it lasts; the
+// caller's own mask and policy must come back exactly.
+TEST(Driver, SimRunRestoresCallersCpuMaskAndPolicy) {
+  KnownCallerSchedule caller;
+  WorkloadConfig cfg;
+  cfg.threads = 4;
+  cfg.read_pct = 90;
+  cfg.acquires_per_thread = 100;
+  run_workload(LockKind::kGoll, cfg, Mode::kSim);
+  const cpu_set_t after = current_cpu_mask();
+  EXPECT_TRUE(CPU_EQUAL(&after, &caller.mask()));
+  EXPECT_EQ(sched_getscheduler(0), SCHED_OTHER);
+}
+
+// Records the CPU mask each reader runs under (read-only workloads only:
+// the exclusive side is a no-op).
+class CpuMaskProbe final : public AnyRwLock {
+ public:
+  void lock_shared() override {
+    const cpu_set_t mask = current_cpu_mask();
+    std::lock_guard<std::mutex> g(mu_);
+    masks_.push_back(mask);
+  }
+  void unlock_shared() override {}
+  void lock() override {}
+  void unlock() override {}
+  bool try_lock() override { return true; }
+  bool try_lock_shared() override {
+    lock_shared();
+    return true;
+  }
+  bool try_lock_for(std::chrono::nanoseconds) override { return true; }
+  bool try_lock_shared_for(std::chrono::nanoseconds) override {
+    return try_lock_shared();
+  }
+  const char* name() const override { return "cpu-mask-probe"; }
+
+  std::vector<cpu_set_t> masks() {
+    std::lock_guard<std::mutex> g(mu_);
+    return masks_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<cpu_set_t> masks_;
+};
+
+// A real-time yield rotates only among threads of one CPU (DESIGN.md §3):
+// every sim worker must run on the lowest CPU its caller may use.
+TEST(Driver, SimWorkersShareLowestCpuOfCallersMask) {
+  KnownCallerSchedule caller;
+  CpuMaskProbe probe;
+  sim::Machine machine;
+  WorkloadConfig cfg;
+  cfg.threads = 4;
+  cfg.read_pct = 100;
+  cfg.acquires_per_thread = 20;
+  run_sim_workload_on(probe, cfg, machine);
+  const auto masks = probe.masks();
+  ASSERT_EQ(masks.size(), 4u * 20u);
+  for (const cpu_set_t& mask : masks) {
+    EXPECT_EQ(CPU_COUNT(&mask), 1);
+    EXPECT_TRUE(CPU_ISSET(lowest_cpu(caller.mask()), &mask));
+  }
 }
 
 TEST(Sweep, DefaultThreadCountsCapped) {

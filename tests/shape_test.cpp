@@ -84,9 +84,20 @@ TEST(Shape, Fig5b_RollRetainsMoreThanFollOffChip) {
 }
 
 // §5.2 / Fig 5(c): at 95% reads GOLL "behaves almost exactly like the
-// Solaris-like lock" (within ~2x either way at scale).
+// Solaris-like lock" (within ~2x either way at scale).  The claim is about
+// the paper's writer path, so GOLL runs with the paper-faithful
+// test-and-test-and-set metalock (--metalock=tatas, DESIGN.md §10).  The
+// default cohort metalock exists to remove exactly the writer-path cost that
+// makes GOLL degenerate here, and does: at this point it runs ~4x above
+// Solaris-like (EXPERIMENTS.md, Figure 5(c)), so it is not held to the claim.
 TEST(Shape, Fig5c_GollDegeneratesToSolaris) {
-  const double goll = tp(LockKind::kGoll, 128, 95);
+  WorkloadConfig paper_goll;
+  paper_goll.threads = 128;
+  paper_goll.read_pct = 95;
+  paper_goll.acquires_per_thread = 400;
+  paper_goll.metalock = MetalockKind::kTatas;
+  const double goll =
+      run_workload(LockKind::kGoll, paper_goll, Mode::kSim).throughput();
   const double solaris = tp(LockKind::kSolarisLike, 128, 95);
   EXPECT_LT(goll, 2.5 * solaris);
   EXPECT_GT(goll, solaris / 2.5);
