@@ -25,7 +25,7 @@
 //                       retried (default 0 = blocking)
 //   --fault_profile=P   arm fault injection for every run:
 //                       off|jitter|cas|preempt|chaos (seeded from --seed-
-//                       equivalent run seeds; no-op in OLL_FAULTS=0 builds)
+//                       equivalent run seeds)
 //   --pin               real mode: pin worker w to the host CPU at position
 //                       w of the parsed topology (sysfs), making gated
 //                       real-hardware series placement-reproducible

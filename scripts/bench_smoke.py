@@ -14,7 +14,7 @@ added with the metalock work use prefixed keys ("fig5f.GOLL.t64").
 Real-time micro numbers vary with the host and are recorded as
 informational only.  Every snapshot carries a "meta" provenance stamp:
 the git SHA (and dirty flag) that produced it, the CMake build type, and
-the observability build flags (OLL_TRACE/OLL_FAULTS/OLL_REGISTRY) — so a
+the observability build flags (OLL_TRACE/OLL_REGISTRY) — so a
 cross-snapshot comparison can tell a real regression from a config change.
 
 Two exceptions to "real time is informational": the pinned real-hardware
@@ -358,7 +358,7 @@ def collect_meta(build_dir):
     except (OSError, subprocess.CalledProcessError):
         pass
     cache = os.path.join(build_dir, "CMakeCache.txt")
-    wanted = ("OLL_TRACE", "OLL_FAULTS", "OLL_REGISTRY")
+    wanted = ("OLL_TRACE", "OLL_REGISTRY")
     try:
         with open(cache) as f:
             for line in f:

@@ -53,47 +53,20 @@ trap 'rm -f "${TRACE_TMP}" "${METRICS_TMP}" "${METRICS_TMP}.jsonl"' EXIT
   --metrics_out="${METRICS_TMP}" >/dev/null
 python3 scripts/validate_metrics.py "${METRICS_TMP}"
 
-echo "==> observability: OLL_TRACE=0 build (hooks compiled out)"
-cmake -B build-notrace -S . -DOLL_TRACE=0 \
+echo "==> observability: OLL_TRACE=0 OLL_REGISTRY=0 build (hooks compiled out)"
+# One tree compiles both flags' stub halves and smoke-runs the suites
+# that exercise them.
+cmake -B build-noobs -S . -DOLL_TRACE=0 -DOLL_REGISTRY=0 \
   -DOLL_ENABLE_BENCH=OFF -DOLL_ENABLE_EXAMPLES=OFF
-cmake --build build-notrace -j "${JOBS}" --target lock_conformance_test \
-  histogram_test versioned_lock_test
-./build-notrace/tests/lock_conformance_test >/dev/null
-./build-notrace/tests/histogram_test >/dev/null
-./build-notrace/tests/versioned_lock_test >/dev/null
-echo "==> OLL_TRACE=0 build + smoke OK"
-
-echo "==> robustness: OLL_FAULTS=0 build (fault hooks compiled out)"
-cmake -B build-nofaults -S . -DOLL_FAULTS=0 \
-  -DOLL_ENABLE_BENCH=OFF -DOLL_ENABLE_EXAMPLES=OFF
-cmake --build build-nofaults -j "${JOBS}" --target lock_conformance_test \
-  timed_lock_test versioned_lock_test
-./build-nofaults/tests/lock_conformance_test >/dev/null
-./build-nofaults/tests/timed_lock_test >/dev/null
-./build-nofaults/tests/versioned_lock_test >/dev/null
-echo "==> OLL_FAULTS=0 build + smoke OK"
-
-echo "==> observability: OLL_REGISTRY=0 build (registry compiled out)"
-cmake -B build-noregistry -S . -DOLL_REGISTRY=0 \
-  -DOLL_ENABLE_BENCH=OFF -DOLL_ENABLE_EXAMPLES=OFF
-cmake --build build-noregistry -j "${JOBS}" --target lock_conformance_test \
+NOOBS_TESTS=(
+  lock_conformance_test histogram_test versioned_lock_test
   lock_registry_test telemetry_test
-./build-noregistry/tests/lock_conformance_test >/dev/null
-./build-noregistry/tests/lock_registry_test >/dev/null
-./build-noregistry/tests/telemetry_test >/dev/null
-echo "==> OLL_REGISTRY=0 build + smoke OK"
-
-echo "==> robustness: OLL_PARK=0 build (parking compiled out, §16)"
-# kSpinThenPark must degrade to kSpin at arm() time and the substrate to
-# constexpr no-ops: the pure-spin paths are bit-for-bit the seed's.
-cmake -B build-nopark -S . -DOLL_PARK=0 \
-  -DOLL_ENABLE_BENCH=OFF -DOLL_ENABLE_EXAMPLES=OFF
-cmake --build build-nopark -j "${JOBS}" --target lock_conformance_test \
-  park_test wait_queue_test
-./build-nopark/tests/lock_conformance_test >/dev/null
-./build-nopark/tests/park_test >/dev/null
-./build-nopark/tests/wait_queue_test >/dev/null
-echo "==> OLL_PARK=0 build + smoke OK"
+)
+cmake --build build-noobs -j "${JOBS}" --target "${NOOBS_TESTS[@]}"
+for t in "${NOOBS_TESTS[@]}"; do
+  "./build-noobs/tests/${t}" >/dev/null
+done
+echo "==> OLL_TRACE=0 OLL_REGISTRY=0 build + smoke OK"
 
 echo "==> robustness: OLL_PARK_FUTEX=0 build (condvar fallback, §16.1)"
 # The hashed mutex+condvar bucket table must pass the same substrate and

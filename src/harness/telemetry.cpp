@@ -213,8 +213,7 @@ std::string TelemetryExporter::render_prometheus(const TelemetryTick& t) {
      << "# TYPE oll_telemetry_ticks_total counter\n"
      << "oll_telemetry_ticks_total " << t.tick << "\n";
   // Process-wide parking substrate gauge (platform/park.hpp): threads
-  // asleep right now, across every lock.  Zero (and parks stay zero) on
-  // OLL_PARK=0 builds.
+  // asleep right now, across every lock.
   os << "# HELP oll_parked_threads Threads currently parked in the "
         "spin-then-park substrate.\n"
      << "# TYPE oll_parked_threads gauge\n"

@@ -24,15 +24,13 @@ void Watchdog::begin_acquire(std::uint32_t worker, bool write) {
   OLL_DCHECK(worker < slots_.size());
   Slot& s = slots_[worker];
   s.is_write.store(write ? 1 : 0, std::memory_order_relaxed);
-  if (park_compiled_in()) {
-    // Key into the park census plus the parked-time baseline, so the
-    // monitor can charge only runnable (non-parked) wait against the
-    // threshold.
-    const std::uint32_t tid = this_thread_index();
-    s.tid.store(tid, std::memory_order_relaxed);
-    s.parked_base_ns.store(park_thread_state(tid).cum_parked_ns,
-                           std::memory_order_relaxed);
-  }
+  // Key into the park census plus the parked-time baseline, so the
+  // monitor can charge only runnable (non-parked) wait against the
+  // threshold.
+  const std::uint32_t tid = this_thread_index();
+  s.tid.store(tid, std::memory_order_relaxed);
+  s.parked_base_ns.store(park_thread_state(tid).cum_parked_ns,
+                         std::memory_order_relaxed);
   // now_ns() is monotonic-from-epoch and never 0 in practice; 0 stays the
   // "not acquiring" sentinel.
   s.start_ns.store(now_ns(), std::memory_order_relaxed);
@@ -81,7 +79,6 @@ std::uint64_t Watchdog::threshold_ns() const {
 Watchdog::ParkView Watchdog::park_view(const Slot& slot, std::uint64_t begin,
                                        std::uint64_t now) const {
   ParkView pv;
-  if (!park_compiled_in()) return pv;
   const std::uint32_t tid = slot.tid.load(std::memory_order_relaxed);
   if (tid == kNoTid) return pv;
   const ParkThreadState ps = park_thread_state(tid);
@@ -118,7 +115,7 @@ void Watchdog::dump_incident(std::uint32_t worker, const Slot& slot,
                static_cast<double>(pv.parked_ns) * 1e-6,
                static_cast<double>(threshold) * 1e-6,
                pv.past_deadline ? "; PARKED PAST DEADLINE" : "");
-  if (park_compiled_in()) {
+  {
     const ParkStats ps = park_stats();
     std::fprintf(stderr,
                  "[watchdog]   park census: %u threads parked now; parks=%"

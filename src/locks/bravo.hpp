@@ -334,8 +334,7 @@ class Bravo {
     // incident (once per scan) so a reader stuck in its critical section
     // shows up in the revoke_timeouts stat rather than as silent spin.
     const std::uint64_t drain_deadline = scan_start + opts_.revoke_timeout_ns;
-    const bool use_park = park_compiled_in() &&
-                          opts_.wait_policy == WaitPolicy::kSpinThenPark;
+    const bool use_park = opts_.wait_policy == WaitPolicy::kSpinThenPark;
     bool timed_out = false;
     std::uint32_t park_round = 0;
     for (std::uint32_t i = 0; i < Table::size(); ++i) {

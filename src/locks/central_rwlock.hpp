@@ -164,8 +164,7 @@ class CentralRwLock {
   static constexpr std::uint32_t kEscalateRounds = 64;
 
   bool use_park() const {
-    return park_compiled_in() &&
-           opts_.wait_policy == WaitPolicy::kSpinThenPark;
+    return opts_.wait_policy == WaitPolicy::kSpinThenPark;
   }
 
   // One contention pause: exponential backoff, escalating to censused

@@ -182,7 +182,6 @@ class McsMetalock {
   // seed; 3 for uniformity with the queue locks' kParkedSpin).
   static constexpr std::uint32_t kParkedSpin = 3;
   static constexpr bool kParkable =
-      park_compiled_in() &&
       std::is_same_v<typename M::template Atomic<std::uint32_t>,
                      std::atomic<std::uint32_t>>;
 
@@ -355,7 +354,6 @@ class CohortMcsLock {
   // GNode.locked's 0/1 (kParkedSpin == 3 clears both).
   static constexpr std::uint32_t kParkedSpin = 3;
   static constexpr bool kParkable =
-      park_compiled_in() &&
       std::is_same_v<typename M::template Atomic<std::uint32_t>,
                      std::atomic<std::uint32_t>>;
 

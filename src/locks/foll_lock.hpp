@@ -603,10 +603,9 @@ class FollLock {
   // Multiple readers share one node's flag, so granters unpark_all.
   static constexpr std::uint32_t kParkedSpin = 3;
 
-  // Parking needs a real kernel-parkable word: std::atomic under a
-  // compiled-in substrate.  Sim memory models degrade to pure spinning.
+  // Parking needs a real kernel-parkable word (std::atomic).  Sim memory
+  // models degrade to pure spinning.
   static constexpr bool kParkable =
-      park_compiled_in() &&
       std::is_same_v<typename M::template Atomic<std::uint32_t>,
                      std::atomic<std::uint32_t>>;
 

@@ -473,7 +473,6 @@ class RollLock {
 
   // See foll_lock.hpp: parking needs a real kernel-parkable word.
   static constexpr bool kParkable =
-      park_compiled_in() &&
       std::is_same_v<typename M::template Atomic<std::uint32_t>,
                      std::atomic<std::uint32_t>>;
 

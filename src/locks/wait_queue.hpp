@@ -76,9 +76,9 @@ enum class ReqKind : std::uint8_t { kReader, kWriter };
 //                   (the pre-park production setup; kept for comparison).
 //   kSpinThenPark — adaptive spin (platform/park.hpp controller), then park
 //                   on the granted word itself via the futex-backed
-//                   substrate (DESIGN.md §16).  Degrades to kSpin under
-//                   OLL_PARK=0 and in the virtual-time simulator (whose
-//                   atomics are not kernel-parkable words).
+//                   substrate (DESIGN.md §16).  Degrades to kSpin in the
+//                   virtual-time simulator (whose atomics are not
+//                   kernel-parkable words).
 enum class WaitStrategy : std::uint8_t { kSpin, kBlocking, kSpinThenPark };
 
 // The per-lock waiting-policy knob (factory plumbing, lock Options structs)
@@ -114,11 +114,9 @@ class WaitQueue {
     WaitStrategy strategy = WaitStrategy::kSpin;
 
     // kSpinThenPark is only meaningful when the flag is a real kernel-
-    // parkable word: std::atomic under a compiled-in park substrate.  The
-    // simulator's instrumented atomics (and OLL_PARK=0 builds) degrade to
-    // kSpin at arm() time, keeping sim schedules bit-for-bit.
+    // parkable word (std::atomic).  The simulator's instrumented atomics
+    // degrade to kSpin at arm() time, keeping sim schedules bit-for-bit.
     static constexpr bool kParkable =
-        park_compiled_in() &&
         std::is_same_v<typename M::template Atomic<std::uint32_t>,
                        std::atomic<std::uint32_t>>;
 

@@ -1,7 +1,5 @@
 #include "platform/fault.hpp"
 
-#if OLL_FAULTS
-
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -291,13 +289,3 @@ FaultCounters fault_counters() {
 }
 
 }  // namespace oll
-
-#else  // OLL_FAULTS == 0
-
-// The header provides inline no-ops; nothing to define.  Keep the TU
-// non-empty for toolchains that warn on empty objects.
-namespace oll::fault_internal {
-void fault_compiled_out_anchor() {}
-}  // namespace oll::fault_internal
-
-#endif  // OLL_FAULTS

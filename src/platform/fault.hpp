@@ -9,13 +9,13 @@
 // with the same thread placement (the fault_fuzz binary pins worker w to
 // dense index w exactly like the bench harness).
 //
-// The hot-path contract copies platform/trace.hpp's three tiers:
+// The hooks are always compiled in, with two runtime tiers:
 //
-//   * OLL_FAULTS=0 (CMake cache variable): every hook is an empty constexpr
-//     inline; production binaries are bit-for-bit oblivious to the harness.
-//   * Compiled in, runtime-disabled (the default): one relaxed load of a
-//     process-global mode word and a predictable branch per hook.
-//   * Runtime-enabled: hooks consult a per-thread splitmix64 stream and may
+//   * Disabled (the default): one relaxed load of a process-global mode
+//     word and a predictable branch per hook.  Measured at parity with a
+//     hook-free build on the uncontended fast paths (EXPERIMENTS.md,
+//     "Compile-out switches on the 4-CPU host").
+//   * Enabled: hooks consult a per-thread splitmix64 stream and may
 //     (a) report that a CAS attempt should be treated as failed, (b) yield
 //     or spin briefly to shear thread interleavings apart, or (c) stall for
 //     a long "preemption window" at a hand-off/release point, simulating a
@@ -30,16 +30,8 @@
 // trace control plane.  Injection counters are relaxed and approximate.
 #pragma once
 
-#include <cstdint>
-#include <initializer_list>
-
-#ifndef OLL_FAULTS
-#define OLL_FAULTS 1
-#endif
-
-#if OLL_FAULTS
 #include <atomic>
-#endif
+#include <cstdint>
 
 namespace oll {
 
@@ -90,9 +82,6 @@ struct FaultProfile {
 //   park-lost     — parkers go deaf to wakes; the bounded-slice rearm must
 //                   recover every one (progress-oracle food)
 //   park-chaos    — spurious + lost + delayed wakes + mild jitter
-// Declared in both build flavors (at OLL_FAULTS=0 the parser still
-// validates names — so CLI flags behave identically — but the profiles it
-// hands back drive no-op hooks).
 FaultProfile fault_profile_jitter();
 FaultProfile fault_profile_cas();
 FaultProfile fault_profile_preempt();
@@ -114,8 +103,6 @@ struct FaultCounters {
   std::uint64_t park_lost = 0;
   std::uint64_t park_delays = 0;
 };
-
-#if OLL_FAULTS
 
 namespace fault_internal {
 extern std::atomic<std::uint32_t> g_enabled;  // 0 = every hook early-outs
@@ -196,46 +183,5 @@ void fault_disable();
 
 // Relaxed snapshot of injections performed since fault_enable.
 FaultCounters fault_counters();
-
-#else  // OLL_FAULTS == 0: every hook is an empty inline, no code at all.
-
-inline constexpr bool fault_injection_enabled() { return false; }
-inline constexpr bool fault_cas_fail(FaultSite) { return false; }
-inline constexpr void fault_perturb(FaultSite) {}
-inline constexpr void fault_preempt_point(FaultSite) {}
-inline constexpr bool fault_park_spurious() { return false; }
-inline constexpr bool fault_park_lost() { return false; }
-inline constexpr std::uint32_t fault_park_delay() { return 0; }
-inline void fault_enable(const FaultProfile&, std::uint64_t) {}
-inline void fault_disable() {}
-inline FaultCounters fault_counters() { return {}; }
-
-inline FaultProfile fault_profile_jitter() { return {"jitter"}; }
-inline FaultProfile fault_profile_cas() { return {"cas"}; }
-inline FaultProfile fault_profile_preempt() { return {"preempt"}; }
-inline FaultProfile fault_profile_chaos() { return {"chaos"}; }
-inline FaultProfile fault_profile_park_spurious() { return {"park-spurious"}; }
-inline FaultProfile fault_profile_park_lost() { return {"park-lost"}; }
-inline FaultProfile fault_profile_park_chaos() { return {"park-chaos"}; }
-
-inline bool fault_profile_from_name(const char* name, FaultProfile* out) {
-  for (const char* known : {"off", "jitter", "cas", "preempt", "chaos",
-                            "park-spurious", "park-lost", "park-chaos"}) {
-    const char* a = name;
-    const char* b = known;
-    while (*a != '\0' && *a == *b) {
-      ++a;
-      ++b;
-    }
-    if (*a == '\0' && *b == '\0') {
-      *out = FaultProfile{};
-      out->name = known;
-      return true;
-    }
-  }
-  return false;
-}
-
-#endif  // OLL_FAULTS
 
 }  // namespace oll

@@ -43,9 +43,9 @@
 // exactly right for "who has been stuck for seconds", useless for ns
 // latencies, which remain the histograms' job.
 //
-// Compile-out: OLL_REGISTRY=0 (CMake cache variable, mirroring OLL_TRACE /
-// OLL_FAULTS) turns every type and hook below into an empty inline — no
-// list, no census slots, no thread-local, bit-for-bit oblivious binaries.
+// Compile-out: OLL_REGISTRY=0 (CMake cache variable, mirroring OLL_TRACE)
+// turns every type and hook below into an empty inline — no list, no
+// census slots, no thread-local, bit-for-bit oblivious binaries.
 //
 // Concurrency contract: registration/deregistration and sampling are safe
 // from any thread, any time (the one blocking edge: deregistration waits

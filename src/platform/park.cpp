@@ -11,8 +11,6 @@
 //     wakes (counted, re-parked) — correct by the kSpurious contract.
 #include "platform/park.hpp"
 
-#if OLL_PARK
-
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
@@ -452,11 +450,3 @@ ParkThreadState park_thread_state(std::uint32_t dense_index) {
 }
 
 }  // namespace oll
-
-#else  // OLL_PARK == 0
-
-namespace oll::park_internal {
-void park_compiled_out_anchor() {}
-}  // namespace oll::park_internal
-
-#endif  // OLL_PARK

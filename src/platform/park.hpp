@@ -45,18 +45,14 @@
 // saturated machine converges to "park almost immediately" while a
 // lightly-loaded one keeps the paper's spin behavior.
 //
-// Compile-out: OLL_PARK=0 (CMake cache variable, mirroring OLL_TRACE /
-// OLL_FAULTS / OLL_REGISTRY) turns everything here into constexpr no-ops
-// and WaitStrategy::kSpinThenPark degrades to kSpin at arm() time — the
-// pure-spin paths are bit-for-bit identical to the seed.
+// The substrate is always compiled in: a lock whose wait policy never
+// selects parking pays only the untaken policy branch, measured at parity
+// with a park-free build (EXPERIMENTS.md, "Compile-out switches on the
+// 4-CPU host").
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-
-#ifndef OLL_PARK
-#define OLL_PARK 1
-#endif
 
 namespace oll {
 
@@ -93,10 +89,6 @@ struct ParkThreadState {
   std::uint64_t deadline_ns = 0;
   std::uint64_t cum_parked_ns = 0;
 };
-
-#if OLL_PARK
-
-inline constexpr bool park_compiled_in() { return true; }
 
 // Sleep while `word == expected`, in bounded slices, until the word
 // changes (kWoken), `deadline_ns` (platform now_ns() clock; 0 = none)
@@ -192,61 +184,7 @@ std::uint32_t parked_thread_count();
 // Park census of one dense thread index (platform/thread_id.hpp).
 ParkThreadState park_thread_state(std::uint32_t dense_index);
 
-#else  // OLL_PARK == 0: pure-spin binaries, bit-for-bit with the seed.
-
-inline constexpr bool park_compiled_in() { return false; }
-
-// kSpurious, so a caller that somehow reaches a compiled-out park simply
-// falls back to its own spin loop instead of wrongly consuming a grant.
-inline ParkResult park(const std::atomic<std::uint32_t>&, std::uint32_t,
-                       std::uint64_t = 0) {
-  return ParkResult::kSpurious;
-}
-inline void unpark_one(const std::atomic<std::uint32_t>&) {}
-inline void unpark_all(const std::atomic<std::uint32_t>&) {}
-
-struct ParkWaitOutcome {
-  std::uint32_t parks = 0;
-  std::uint32_t spurious = 0;
-  std::uint64_t wait_ns = 0;
-};
-
-inline std::uint32_t park_wait_u32(std::atomic<std::uint32_t>& word,
-                                   std::uint32_t wait_val, std::uint32_t,
-                                   ParkWaitOutcome* = nullptr) {
-  std::uint32_t v;
-  while ((v = word.load(std::memory_order_acquire)) == wait_val) {
-  }
-  return v;
-}
-inline bool park_wait_until_u32(std::atomic<std::uint32_t>&, std::uint32_t,
-                                std::uint32_t, std::uint64_t,
-                                std::uint32_t* = nullptr,
-                                ParkWaitOutcome* = nullptr) {
-  return false;
-}
-inline std::uint32_t park_grant_u32(std::atomic<std::uint32_t>& word,
-                                    std::uint32_t grant_val, std::uint32_t,
-                                    bool = true) {
-  return word.exchange(grant_val, std::memory_order_acq_rel);
-}
-
-inline constexpr std::uint32_t park_spin_budget() { return 0; }
-inline void park_note_spin_grant(std::uint32_t) {}
-inline void park_note_park_grant() {}
-inline void park_briefly(std::uint32_t) {}
-
-inline constexpr ParkStats park_stats() { return {}; }
-inline void park_stats_reset() {}
-inline constexpr std::uint32_t parked_thread_count() { return 0; }
-inline constexpr ParkThreadState park_thread_state(std::uint32_t) {
-  return {};
-}
-
-#endif  // OLL_PARK
-
-// Tuning constants, shared with tests (declared for both build flavors so
-// test code compiles under OLL_PARK=0; the stub substrate never uses them).
+// Tuning constants, shared with tests.
 inline constexpr std::uint64_t kParkSliceNs = 10'000'000;      // 10 ms
 inline constexpr std::uint64_t kEscalateMinSliceNs = 50'000;   // 50 µs
 inline constexpr std::uint32_t kParkMinSpin = 64;

@@ -52,18 +52,18 @@ class SpinWait {
   // wait escalates to bounded park_briefly() slices — fully censused
   // sleeps the watchdog and telemetry see — so an oversubscribed host
   // stops burning whole scheduler quanta on a flag that will not change
-  // soon.  Never enabled by default; a no-op under OLL_PARK=0.
+  // soon.  Never enabled by default.
   explicit SpinWait(unsigned spin_limit = kDefaultSpinLimit,
                     bool park_escalate = false) noexcept
       : spin_limit_(spin_limit),
-        park_escalate_(park_escalate && park_compiled_in()),
+        park_escalate_(park_escalate),
         pure_(pure_spin_enabled()) {}
 
   // One wait step.  Cheap pause while under the limit, sched yield after,
   // bounded park slices after that (when escalation is armed).  Every
   // spin-wait in the library funnels through here, so this is also the
   // central schedule-perturbation point for the fault harness (one
-  // relaxed load + branch when idle; nothing at all under OLL_FAULTS=0).
+  // relaxed load + branch when idle).
   void pause() noexcept {
     fault_perturb(FaultSite::kSpinWait);
     if (pure_) {

@@ -471,8 +471,6 @@ TEST(CSnziSticky, DecaysWhenLeafKeepsDraining) {
 
 // --- decay hold: a draining leaf sends its thread to the root ---------------
 
-constexpr bool fault_compiled_in() { return OLL_FAULTS != 0; }
-
 // Root-CAS failures forced on nearly every attempt (the tree paths' own CAS
 // loops still succeed within a few thousand draws), so the adaptive policy
 // reaches root_cas_fail_threshold and arrives through the tree.
@@ -525,7 +523,6 @@ void decay_once(C& c) {
 }
 
 TEST(CSnziDecayHold, DrainingLeafHoldsDirectDespiteTreeSurplus) {
-  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
   C c(private_leaf_decay());
   C::Ticket other = hold_tree_surplus(c);
   {
@@ -558,7 +555,6 @@ TEST(CSnziDecayHold, DrainingLeafHoldsDirectDespiteTreeSurplus) {
 }
 
 TEST(CSnziDecayHold, LostRootCasesStillMoveHeldThreadToTree) {
-  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
   C c(private_leaf_decay());
   C::Ticket other = hold_tree_surplus(c);
   {

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "lock_test_utils.hpp"
 #include "locks/foll_lock.hpp"
 #include "locks/goll_lock.hpp"
 #include "locks/ksuh_rwlock.hpp"
@@ -17,6 +20,8 @@
 
 namespace oll {
 namespace {
+
+using test::eventually;
 
 // Under a continuous stream of readers, a FIFO lock must admit a writer in
 // bounded time: once the writer enqueues, only readers already ahead of it
@@ -149,34 +154,46 @@ TEST(Fairness, RollReaderJoinsAheadOfQueuedWriterFollDoesNot) {
 TEST(Fairness, GollHandsWholeReaderGroupOverWriter) {
   // With the Solaris policy, readers queued while a writer holds the lock
   // coalesce into one group even when another writer waits between them.
+  // Each step waits until the previous waiter is in the queue: GOLL counts
+  // read_queued, and the timed writer path counts write_queued, only after
+  // the enqueue.
   GollLock<> lock;
   lock.lock();  // W0
   std::atomic<int> readers_in{0};
   std::atomic<bool> w1_done{false};
+  std::atomic<bool> r1_saw_r2{false};
+  std::atomic<bool> r2_saw_w1{true};
   std::thread r1([&] {
     lock.lock_shared();
     readers_in.fetch_add(1);
-    spin_until([&] { return readers_in.load() >= 2 || w1_done.load(); });
+    // Held until r2 joins; a lock that queued r2 behind w1 leaves this at
+    // the deadline instead of deadlocking against w1.
+    r1_saw_r2.store(eventually([&] { return readers_in.load() >= 2; }));
     lock.unlock_shared();
   });
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  EXPECT_TRUE(eventually([&] { return lock.stats().read_queued == 1; }));
+  bool w1_granted = false;
   std::thread w1([&] {
-    lock.lock();
+    w1_granted = lock.try_lock_for(std::chrono::seconds(60));
     w1_done.store(true);
-    lock.unlock();
+    if (w1_granted) lock.unlock();
   });
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  EXPECT_TRUE(eventually([&] { return lock.stats().write_queued == 1; }));
   std::thread r2([&] {
     lock.lock_shared();  // coalesces into r1's group, ahead of w1
+    r2_saw_w1.store(w1_done.load());
     readers_in.fetch_add(1);
     lock.unlock_shared();
   });
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  EXPECT_TRUE(eventually([&] { return lock.stats().read_queued == 2; }));
   lock.unlock();
   r1.join();
   r2.join();
   w1.join();
   EXPECT_EQ(readers_in.load(), 2);
+  EXPECT_TRUE(r1_saw_r2.load()) << "r2 was not granted with r1's group";
+  EXPECT_FALSE(r2_saw_w1.load()) << "r2 ran after w1";
+  EXPECT_TRUE(w1_granted);
 }
 
 TEST(Fairness, MixedStormCompletes) {

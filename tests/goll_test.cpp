@@ -4,14 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "lock_test_utils.hpp"
 #include "locks/goll_lock.hpp"
 #include "platform/spin.hpp"
 
 namespace oll {
 namespace {
+
+using test::eventually;
 
 TEST(Goll, StateReflectsCSnzi) {
   GollLock<> lock;
@@ -154,17 +158,22 @@ TEST(Goll, WriterHandsOffToReaderGroup) {
       int p = peak.load();
       while (now > p && !peak.compare_exchange_weak(p, now)) {
       }
-      std::this_thread::yield();
+      // Stay inside until the whole group is in.  A lock that granted the
+      // readers one at a time leaves this at the deadline with peak < 4.
+      eventually([&] { return peak.load() == kReaders; });
       in.fetch_sub(1);
       lock.unlock_shared();
     });
   }
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  // GOLL counts a queued read only after the reader is in the queue.
+  EXPECT_TRUE(eventually([&] {
+    return lock.stats().read_queued == static_cast<std::uint64_t>(kReaders);
+  }));
   lock.unlock();  // hands over to the whole group at once
   for (auto& th : readers) th.join();
-  // All queued readers were granted as one group, so at some point more
-  // than one was inside simultaneously.
-  EXPECT_GE(peak.load(), 2);
+  // All queued readers were granted as one group, so all of them were
+  // inside simultaneously.
+  EXPECT_EQ(peak.load(), kReaders);
 }
 
 TEST(Goll, FifoPolicyKnobConstructs) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -12,6 +13,20 @@
 #include "platform/rng.hpp"
 
 namespace oll::test {
+
+// Yields until `pred` holds or ~5 s pass; returns pred().  Tests use it to
+// hand-shake on observable state instead of counting yields, with the
+// deadline turning a lost handshake into a failure instead of a hang.
+template <typename Pred>
+bool eventually(Pred&& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() >= deadline) return pred();
+    std::this_thread::yield();
+  }
+  return true;
+}
 
 // Tracks how many readers/writers are inside the critical section and
 // records any violation of reader-writer exclusion.  Check methods are

@@ -5,10 +5,6 @@
 // injected lost wakes, determinism of the fault draw streams — plus the
 // watchdog's "runnable and not progressing" detection (a planted long park
 // must NOT be an incident; a runnable spinner stuck just as long must).
-//
-// The whole file also builds and passes under OLL_PARK=0 (check.sh leg):
-// tests that assert real sleeping behavior skip when the substrate is
-// compiled out, and the API-shape tests exercise the no-op fallbacks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,6 +15,7 @@
 
 #include "core/factory.hpp"
 #include "harness/watchdog.hpp"
+#include "lock_test_utils.hpp"
 #include "platform/fault.hpp"
 #include "platform/park.hpp"
 #include "platform/thread_id.hpp"
@@ -27,23 +24,11 @@
 namespace oll {
 namespace {
 
-constexpr bool fault_compiled_in() { return OLL_FAULTS != 0; }
+using test::eventually;
 
 constexpr std::uint32_t kWaitVal = 0;
 constexpr std::uint32_t kParkedVal = 2;
 constexpr std::uint32_t kGrantVal = 1;
-
-// Spin (politely) until `pred` holds or ~5 s pass; returns pred().
-template <typename Pred>
-bool eventually(Pred&& pred) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!pred()) {
-    if (std::chrono::steady_clock::now() >= deadline) return pred();
-    std::this_thread::yield();
-  }
-  return true;
-}
 
 TEST(ParkBasics, GrantBeforeWaitReturnsImmediately) {
   std::atomic<std::uint32_t> word{kGrantVal};
@@ -60,27 +45,22 @@ TEST(ParkBasics, GrantConsumesOrUnparksExactlyOnce) {
     ScopedThreadIndex idx(0);
     seen = park_wait_u32(word, kWaitVal, kParkedVal);
   });
-  if (park_compiled_in()) {
-    // Wait until the waiter advertised the parked marker, so the grant
-    // exercises the displaced == parked_val → unpark edge.
-    ASSERT_TRUE(eventually([&] {
-      return word.load(std::memory_order_acquire) == kParkedVal;
-    }));
-  }
+  // Wait until the waiter advertised the parked marker, so the grant
+  // exercises the displaced == parked_val → unpark edge.
+  ASSERT_TRUE(eventually([&] {
+    return word.load(std::memory_order_acquire) == kParkedVal;
+  }));
   const std::uint32_t displaced =
       park_grant_u32(word, kGrantVal, kParkedVal, /*all=*/false);
   waiter.join();
   EXPECT_EQ(seen, kGrantVal);
-  if (park_compiled_in()) {
-    EXPECT_EQ(displaced, kParkedVal);
-    const ParkStats after = park_stats();
-    EXPECT_GE(after.unparks, before.unparks + 1);
-  }
+  EXPECT_EQ(displaced, kParkedVal);
+  const ParkStats after = park_stats();
+  EXPECT_GE(after.unparks, before.unparks + 1);
   EXPECT_EQ(parked_thread_count(), 0u);
 }
 
 TEST(ParkBasics, SharedWordWakesAllWaiters) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
   // FOLL/ROLL reader nodes: several threads converge on one parked word;
   // the granter's single exchange + unpark_all must release every one.
   constexpr std::uint32_t kWaiters = 4;
@@ -104,7 +84,6 @@ TEST(ParkBasics, SharedWordWakesAllWaiters) {
 }
 
 TEST(ParkBasics, TimedOutWaitLeavesStickyMarker) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
   ScopedThreadIndex idx(0);
   std::atomic<std::uint32_t> word{kWaitVal};
   const std::uint64_t deadline = now_ns() + 40'000'000;  // 40 ms
@@ -129,24 +108,16 @@ TEST(ParkBasics, TimedWaitGrantedBeforeDeadline) {
     granted = park_wait_until_u32(word, kWaitVal, kParkedVal,
                                   now_ns() + 5'000'000'000, &terminal);
   });
-  if (park_compiled_in()) {
-    ASSERT_TRUE(eventually([&] {
-      return word.load(std::memory_order_acquire) == kParkedVal;
-    }));
-    park_grant_u32(word, kGrantVal, kParkedVal);
-    waiter.join();
-    EXPECT_TRUE(granted);
-    EXPECT_EQ(terminal, kGrantVal);
-  } else {
-    // Compiled-out substrate: the stub reports timeout; the caller's
-    // abandon-or-consume path handles it.  Just unblock and join.
-    waiter.join();
-    EXPECT_FALSE(granted);
-  }
+  ASSERT_TRUE(eventually([&] {
+    return word.load(std::memory_order_acquire) == kParkedVal;
+  }));
+  park_grant_u32(word, kGrantVal, kParkedVal);
+  waiter.join();
+  EXPECT_TRUE(granted);
+  EXPECT_EQ(terminal, kGrantVal);
 }
 
 TEST(ParkBasics, CensusTracksParkedThread) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
   constexpr std::uint32_t kIdx = 5;
   std::atomic<std::uint32_t> word{kWaitVal};
   std::thread waiter([&] {
@@ -168,7 +139,6 @@ TEST(ParkBasics, CensusTracksParkedThread) {
 }
 
 TEST(ParkBasics, SpinBudgetStaysClamped) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
   for (int i = 0; i < 64; ++i) park_note_park_grant();
   EXPECT_GE(park_spin_budget(), kParkMinSpin);
   for (int i = 0; i < 64; ++i) park_note_spin_grant(1u << 20);
@@ -201,7 +171,6 @@ std::vector<std::uint8_t> draw_sequence(const FaultProfile& profile,
 }
 
 TEST(ParkFaults, DrawStreamsAreDeterministicPerSeed) {
-  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
   const FaultProfile chaos = fault_profile_park_chaos();
   const auto a = draw_sequence(chaos, 42, 3, 400);
   const auto b = draw_sequence(chaos, 42, 3, 400);
@@ -216,8 +185,6 @@ TEST(ParkFaults, DrawStreamsAreDeterministicPerSeed) {
 }
 
 TEST(ParkFaults, LostWakeRecoversWithinBoundedSlices) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
-  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
   // Under park-lost, parkers go deaf to real unparks; the bounded-slice
   // rearm (kParkSliceNs) must recover every handoff — lost wakes degrade
   // to latency, never deadlock.  50 handoffs with injection hot: the test
@@ -254,8 +221,6 @@ TEST(ParkFaults, LostWakeRecoversWithinBoundedSlices) {
 }
 
 TEST(ParkFaults, SpuriousWakesReparkUntilGranted) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
-  if (!fault_compiled_in()) GTEST_SKIP() << "OLL_FAULTS=0";
   fault_enable(fault_profile_park_spurious(), 0x5eed);
   const ParkStats before = park_stats();
   for (int round = 0; round < 20; ++round) {
@@ -304,7 +269,6 @@ class ParkWatchdogTest : public ::testing::Test {
 };
 
 TEST_F(ParkWatchdogTest, PlantedLongParkIsNotAnIncident) {
-  if (!park_compiled_in()) GTEST_SKIP() << "OLL_PARK=0";
   // Regression test for the false-positive fix: a waiter that spends 6x
   // the watchdog threshold PARKED (censused sleep, no deadline) must never
   // be reported — "sleeping and healthy", not "runnable and not
