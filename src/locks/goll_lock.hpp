@@ -444,18 +444,25 @@ class GollLock {
   // Figure 3's WriterLock body.  The public lock() wraps it in the
   // observability begin/end pair; the queued wait is bracketed separately so
   // traces show the waiting interval and the writer-wait histogram measures
-  // it (the bound PR 2's sticky re-arm budget promises).
+  // it (the bound the C-SNZI's sticky re-arm budget promises).  A writer
+  // that acquires without waiting in the queue — fast path, reopen spin, or
+  // the Close under the metalock — counts as write_fast; write_queued counts
+  // only writers that enqueued.
   void lock_impl() {
-    if (csnzi_.close_if_empty()) {
-      stats_.count_write_fast();  // uncontended fast path
+    SnziQuery seen;
+    if (csnzi_.close_if_empty(&seen) ||
+        (fast_release_ && wait_for_reopen<true>(seen))) {
+      stats_.count_write_fast();
       return;
     }
-    stats_.count_write_queued();
     typename WaitQueue<M>::WaitNode waiter;
     waiter.arm(opts_.wait_strategy, my_domain());
     {
       std::lock_guard<Metalock<M>> meta(metalock_);
-      if (csnzi_.close()) return;  // lock became free; Close acquired it
+      if (csnzi_.close()) {
+        stats_.count_write_fast();
+        return;  // lock became free; Close acquired it
+      }
       const bool was_empty = queue_.empty();
       queue_.enqueue(&waiter, ReqKind::kWriter);
       if (fast_release_ && was_empty) {
@@ -472,10 +479,12 @@ class GollLock {
           // next release/last departure sees our node and hands off.)
           queue_.remove(&waiter);
           sync_waiter_flag();
+          stats_.count_write_queued();
           return;
         }
       }
     }
+    stats_.count_write_queued();
     const ObsTimer qt = obs_begin(TraceEventType::kQueueEnter, this);
     waiter.wait();  // ownership handed over before the flag is set
     const std::uint64_t qd = obs_end(TraceEventType::kQueueExit, this, qt);
@@ -493,7 +502,7 @@ class GollLock {
         stats_.count_read_fast();  // no queueing: one C-SNZI arrival
         return;
       }
-      if (fast_release_ && wait_for_reopen()) {
+      if (fast_release_ && wait_for_reopen<false>(csnzi_.query())) {
         continue;  // the write epoch ended; retry the arrival fast path
       }
       typename WaitQueue<M>::WaitNode waiter;
@@ -528,16 +537,22 @@ class GollLock {
     }
   }
 
-  // Timed WriterLock (see the public comment): fast path, enqueue with the
-  // full Dekker publication, deadline-bounded wait, abandon-or-consume.
+  // Timed WriterLock (see the public comment): fast path, deadline-bounded
+  // reopen spin, enqueue with the full Dekker publication, deadline-bounded
+  // wait, abandon-or-consume.
   bool timed_lock_impl(std::chrono::steady_clock::time_point deadline) {
-    if (csnzi_.close_if_empty()) {
+    SnziQuery seen;
+    if (csnzi_.close_if_empty(&seen)) {
       stats_.count_write_fast();
       return true;
     }
     if (std::chrono::steady_clock::now() >= deadline) {
       stats_.count_write_timeout();
       return false;
+    }
+    if (fast_release_ && wait_for_reopen<true>(seen, deadline)) {
+      stats_.count_write_fast();
+      return true;
     }
     typename WaitQueue<M>::WaitNode waiter;
     waiter.arm(opts_.wait_strategy, my_domain());
@@ -610,7 +625,7 @@ class GollLock {
         stats_.count_read_timeout();
         return false;
       }
-      if (fast_release_ && wait_for_reopen()) {
+      if (fast_release_ && wait_for_reopen<false>(csnzi_.query(), deadline)) {
         continue;  // the write epoch ended; retry the arrival fast path
       }
       typename WaitQueue<M>::WaitNode waiter;
@@ -667,22 +682,47 @@ class GollLock {
   }
 
   // Bounded spin on the C-SNZI root waiting for the write epoch to end
-  // (metalock != tatas): a queued reader costs two metalock round trips
-  // plus a wake handoff, so a reader that merely caught a short writer
+  // (metalock != tatas; DESIGN.md §10), starting from the root state `s`
+  // the caller last saw.  A queued waiter costs two metalock round trips
+  // plus a wake handoff, so a thread that merely caught a short writer
   // critical section spins for the reopen instead — off the metalock, off
   // the wait queue, and invalidation-free (the root line is only re-read
-  // when it actually changes).  While *writers* still wait, the C-SNZI
-  // stays closed, so spinners cannot overtake queued writers; once the
-  // budget expires the caller falls back to the queue, preserving liveness
-  // under writer bursts and the coalescing fairness policy.
-  bool wait_for_reopen() {
+  // when it actually changes).  Out of line so the callers' fast paths keep
+  // their code placement.
+  //
+  // A reader returns true once the root reads open; the caller retries its
+  // arrival.  A writer returns true iff it acquired the lock: an open, empty
+  // root is retried with CloseIfEmpty (test-and-test-and-set, so the spin
+  // itself never writes the root line readers update).  A writer stops at
+  // once, returning false, when readers hold the lock (it closes over them
+  // under the metalock, as before the spin existed) or when the root is
+  // closed with waiters queued (a handoff chain it must not barge into).
+  // While writers wait the C-SNZI stays closed, so no spinner overtakes a
+  // queued writer.  Budget or deadline expiry also returns false: the
+  // caller falls back to the queue, preserving liveness under writer bursts
+  // and the coalescing fairness policy.
+  template <bool kWriter>
+  [[gnu::cold, gnu::noinline]] bool wait_for_reopen(
+      SnziQuery s, std::chrono::steady_clock::time_point deadline =
+                       std::chrono::steady_clock::time_point::max()) {
     SpinWait w;
-    for (std::uint32_t i = 0; i < kReopenSpinBudget; ++i) {
-      if (csnzi_.query().open) return true;
+    for (std::uint32_t i = 1;; ++i) {
+      if (s.open) {
+        if (!kWriter) return true;
+        if (s.nonzero) return false;
+        if (csnzi_.close_if_empty(&s)) return true;
+      } else if (kWriter && has_waiters_.load(std::memory_order_relaxed) != 0) {
+        return false;
+      }
       fault_perturb(FaultSite::kSpinWait);
       w.pause();
+      if (i == kReopenSpinBudget) return false;
+      if (deadline != std::chrono::steady_clock::time_point::max() &&
+          std::chrono::steady_clock::now() >= deadline) {
+        return false;
+      }
+      s = csnzi_.query();
     }
-    return false;
   }
 
   // Slow half of the eliding release: we opened the C-SNZI believing the
@@ -754,7 +794,7 @@ class GollLock {
     Ticket ticket{};
   };
 
-  // Reader spin-for-reopen budget (pause iterations) before queueing.
+  // Spin-for-reopen budget (root polls) before a reader or writer queues.
   static constexpr std::uint32_t kReopenSpinBudget = 256;
   // Delegating writer's wait budget (pause iterations on its own slot,
   // with a close attempt every 16th) before retract-and-queue.  Generous:

@@ -323,8 +323,10 @@ class CSnzi {
 
   // CloseIfEmpty (§2.1): close only when open with zero surplus.  Returns
   // true iff the state changed OPEN->CLOSED (writers use this as their
-  // uncontended fast path).
-  bool close_if_empty() {
+  // uncontended fast path).  On failure, `seen` (if given) receives the
+  // root state the CAS observed, so the caller can act on it without
+  // another root load.
+  bool close_if_empty(SnziQuery* seen = nullptr) {
     std::uint64_t old = make_root(0, 0, true);
     if (root_.compare_exchange_strong(old, make_root(0, 0, false),
                                       std::memory_order_acq_rel,
@@ -332,6 +334,7 @@ class CSnzi {
       trace_event(TraceEventType::kCsnziClose, this);
       return true;
     }
+    if (seen != nullptr) *seen = SnziQuery{total_count(old) > 0, is_open(old)};
     return false;
   }
 

@@ -1,11 +1,14 @@
 // GOLL-specific behavior (paper §3.2): lock state as a function of the
 // C-SNZI, handoff discipline, the §3.2.1 write-upgrade / downgrade
-// extension, try-lock fast paths, and the fairness-policy knob.
+// extension, try-lock fast paths, the fairness-policy knob, and the
+// writer's spin-for-reopen exits with their write_fast/write_queued counts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "lock_test_utils.hpp"
@@ -214,6 +217,190 @@ TEST(Goll, ReaderAfterWriterQueueCycle) {
   EXPECT_EQ(ops.load(), 2u * 400u + 4u * 400u);
   EXPECT_TRUE(lock.state().open);
   EXPECT_FALSE(lock.state().nonzero);
+}
+
+// --- writer spin-for-reopen and the write_fast/write_queued counts ---------
+// Every case hand-shakes on stats or on a hook, never on yield counts.
+
+// RealMemory whose strong CAS runs a one-shot per-thread hook after a
+// failure.  The hook stops a writer right after its CloseIfEmpty failed,
+// so a test can change the lock state before the writer's next step.
+std::function<void()>& after_failed_cas() {
+  thread_local std::function<void()> hook;
+  return hook;
+}
+
+template <typename T>
+class HookAtomic : public std::atomic<T> {
+ public:
+  using std::atomic<T>::atomic;
+  using std::atomic<T>::compare_exchange_strong;
+
+  bool compare_exchange_strong(T& expected, T desired,
+                               std::memory_order success,
+                               std::memory_order failure) noexcept {
+    if (std::atomic<T>::compare_exchange_strong(expected, desired, success,
+                                                failure)) {
+      return true;
+    }
+    if (after_failed_cas()) std::exchange(after_failed_cas(), nullptr)();
+    return false;
+  }
+};
+
+struct HookMemory : RealMemory {
+  template <typename T>
+  using Atomic = HookAtomic<T>;
+};
+
+GollOptions with_metalock(MetalockKind kind) {
+  GollOptions o;
+  o.metalock.kind = kind;
+  return o;
+}
+
+// The root reopened between the writer's failed CloseIfEmpty and its next
+// step.  The writer acquires without entering the queue: by the reopen
+// spin (default metalock) or by the Close under the metalock (tatas).
+// Either way it counts as write_fast, never write_queued.
+void writer_acquires_after_reopen(MetalockKind kind, bool reader_held) {
+  GollLock<HookMemory> lock(with_metalock(kind));
+  if (reader_held) {
+    lock.lock_shared();
+  } else {
+    lock.lock();
+  }
+  std::atomic<bool> cas_failed{false};
+  std::atomic<bool> released{false};
+  std::thread writer([&] {
+    after_failed_cas() = [&] {
+      cas_failed.store(true);
+      eventually([&] { return released.load(); });
+    };
+    lock.lock();
+    lock.unlock();
+  });
+  ASSERT_TRUE(eventually([&] { return cas_failed.load(); }));
+  if (reader_held) {
+    lock.unlock_shared();
+  } else {
+    lock.unlock();
+  }
+  released.store(true);
+  writer.join();
+  const LockStatsSnapshot s = lock.stats();
+  EXPECT_EQ(s.write_queued, 0u);
+  EXPECT_EQ(s.write_fast, reader_held ? 1u : 2u);
+  EXPECT_TRUE(lock.state().open);
+  EXPECT_FALSE(lock.state().nonzero);
+}
+
+TEST(GollWriterSpin, AcquiresReopenedLockWithoutQueueing) {
+  writer_acquires_after_reopen(MetalockKind::kCohort, /*reader_held=*/false);
+}
+
+TEST(GollWriteStats, CloseUnderMetalockCountsWriteFast) {
+  writer_acquires_after_reopen(MetalockKind::kCohort, /*reader_held=*/true);
+  writer_acquires_after_reopen(MetalockKind::kTatas, /*reader_held=*/true);
+  writer_acquires_after_reopen(MetalockKind::kTatas, /*reader_held=*/false);
+}
+
+// write_queued counts a writer once it is in the queue, not before: when
+// the count reads 1, a downgrade must see the writer queued and keep the
+// root closed for it.  Tatas writers queue at once; the others queue when
+// the spin budget runs out with the lock still write-held.
+void queued_writer_counted_after_enqueue(MetalockKind kind) {
+  GollLock<> lock(with_metalock(kind));
+  lock.lock();
+  std::atomic<bool> acquired{false};
+  std::thread writer([&] {
+    lock.lock();
+    acquired.store(true);
+    lock.unlock();
+  });
+  ASSERT_TRUE(eventually([&] { return lock.stats().write_queued == 1; }));
+  lock.downgrade();
+  EXPECT_FALSE(lock.state().open);  // the queued writer is next
+  EXPECT_FALSE(acquired.load());
+  lock.unlock_shared();  // last departure hands the lock to the writer
+  writer.join();
+  EXPECT_TRUE(acquired.load());
+  const LockStatsSnapshot s = lock.stats();
+  EXPECT_EQ(s.write_fast, 1u);
+  EXPECT_EQ(s.write_queued, 1u);
+}
+
+TEST(GollWriteStats, QueuedWriterCountedAfterEnqueue) {
+  queued_writer_counted_after_enqueue(MetalockKind::kCohort);
+}
+
+TEST(GollWriterSpin, TatasWriterBehindWriterQueues) {
+  queued_writer_counted_after_enqueue(MetalockKind::kTatas);
+}
+
+// A writer that finds readers inside does not spin through their epoch:
+// it closes the root over them at once, queues, and the last departure
+// hands it the lock.
+TEST(GollWriterSpin, ClosesOverReadersAndWaitsForLastDeparture) {
+  GollLock<> lock;
+  lock.lock_shared();
+  std::atomic<bool> acquired{false};
+  std::thread writer([&] {
+    lock.lock();
+    acquired.store(true);
+    lock.unlock();
+  });
+  ASSERT_TRUE(eventually([&] { return lock.stats().write_queued == 1; }));
+  EXPECT_FALSE(lock.state().open);  // closed over our read hold
+  EXPECT_TRUE(lock.state().nonzero);
+  EXPECT_FALSE(acquired.load());
+  lock.unlock_shared();
+  writer.join();
+  EXPECT_TRUE(acquired.load());
+  const LockStatsSnapshot s = lock.stats();
+  EXPECT_EQ(s.write_fast, 0u);
+  EXPECT_EQ(s.write_queued, 1u);
+  EXPECT_EQ(s.read_fast, 1u);
+}
+
+// A writer that finds a writer holder with a reader group already queued
+// queues behind that group instead of spinning to barge: the release
+// hands the lock to the readers, the root stays closed for the writer, and
+// the writer gets the lock only from the group's last departure.
+TEST(GollWriterSpin, QueuesBehindWaitingReaderGroup) {
+  GollLock<> lock;
+  lock.lock();
+  std::atomic<bool> reader_in{false};
+  std::atomic<bool> reader_go{false};
+  std::atomic<bool> writer_in{false};
+  std::atomic<bool> reader_saw_writer{false};
+  std::thread reader([&] {
+    lock.lock_shared();
+    reader_in.store(true);
+    eventually([&] { return reader_go.load(); });
+    reader_saw_writer.store(writer_in.load());
+    lock.unlock_shared();
+  });
+  ASSERT_TRUE(eventually([&] { return lock.stats().read_queued == 1; }));
+  std::thread writer([&] {
+    lock.lock();
+    writer_in.store(true);
+    lock.unlock();
+  });
+  ASSERT_TRUE(eventually([&] { return lock.stats().write_queued == 1; }));
+  lock.unlock();  // hands over to the reader group; the writer waits on
+  ASSERT_TRUE(eventually([&] { return reader_in.load(); }));
+  EXPECT_FALSE(writer_in.load());
+  EXPECT_FALSE(lock.state().open);  // a writer is still queued
+  reader_go.store(true);
+  reader.join();
+  writer.join();
+  EXPECT_FALSE(reader_saw_writer.load());
+  EXPECT_TRUE(writer_in.load());
+  const LockStatsSnapshot s = lock.stats();
+  EXPECT_EQ(s.write_fast, 1u);
+  EXPECT_EQ(s.write_queued, 1u);
+  EXPECT_EQ(s.read_queued, 1u);
 }
 
 }  // namespace

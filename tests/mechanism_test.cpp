@@ -287,12 +287,13 @@ TEST(BlockingWaiters, WriterParkAndHandoff) {
 // that mutex and about to notify.  Each round below hands write ownership
 // from the main thread to a peer queued behind it; a yield-at-every-hook
 // fault profile stalls the granter between its flag store and its notify,
-// so the peer (still spinning, since the main thread releases after 0-3
-// yields) observes the flag inside that window on most rounds.  Before the
-// fix this crashed or tripped ASan/TSan within a few rounds.
+// so the peer (still spinning, since the main thread releases as soon as
+// `peer_queued(r)` returns) observes the flag inside that window on most
+// rounds.  Before the fix this crashed or tripped ASan/TSan within a few
+// rounds.
 
-template <typename Lock>
-void blocking_handoff_rounds(Lock& lock, int rounds) {
+template <typename Lock, typename PeerQueued>
+void blocking_handoff_rounds(Lock& lock, int rounds, PeerQueued peer_queued) {
   FaultProfile yield_everywhere;
   yield_everywhere.name = "yield-everywhere";
   yield_everywhere.yield_p = 1024;
@@ -311,7 +312,7 @@ void blocking_handoff_rounds(Lock& lock, int rounds) {
   for (int r = 0; r < rounds; ++r) {
     lock.lock();
     turn.store(2 * r + 1, std::memory_order_release);
-    for (int i = 0; i < r % 4; ++i) std::this_thread::yield();
+    peer_queued(r);
     lock.unlock();  // hands off to the peer if it has queued
     while (turn.load(std::memory_order_acquire) != 2 * r + 2) {
       std::this_thread::yield();
@@ -326,19 +327,32 @@ TEST(BlockingWaiters, GollHandoffNeverOutlivesWaitNode) {
   o.wait_strategy = WaitStrategy::kBlocking;
   GollLock<> lock(o);
   constexpr int kRounds = 2000;
-  blocking_handoff_rounds(lock, kRounds);
+  // Hold until the peer is in the queue: a writer that finds the lock
+  // write-held first spins for it to reopen, so releasing early lets the
+  // peer acquire without queueing.  GOLL counts write_queued only after
+  // the enqueue.
+  std::uint64_t queued = 0;
+  blocking_handoff_rounds(lock, kRounds, [&](int /*round*/) {
+    EXPECT_TRUE(test::eventually(
+        [&] { return lock.stats().write_queued > queued; }));
+    queued = lock.stats().write_queued;
+  });
   const LockStatsSnapshot s = lock.stats();
   EXPECT_EQ(s.writes(), 2u * kRounds);
-  // The rounds must actually exercise the queued handoff, not only the
-  // uncontended fast path.
-  EXPECT_GT(s.write_queued, kRounds / 4u);
+  // Every round exercised the queued handoff, not the uncontended fast
+  // path or the reopen spin.
+  EXPECT_EQ(s.write_queued, static_cast<std::uint64_t>(kRounds));
 }
 
 TEST(BlockingWaiters, SolarisHandoffNeverOutlivesWaitNode) {
   SolarisOptions o;
   o.wait_strategy = WaitStrategy::kBlocking;
   SolarisRwLock<> lock(o);
-  blocking_handoff_rounds(lock, 2000);
+  // The Solaris-like lock keeps no stats; its writers queue at once, so a
+  // release after 0-3 yields finds the peer queued on most rounds.
+  blocking_handoff_rounds(lock, 2000, [](int r) {
+    for (int i = 0; i < r % 4; ++i) std::this_thread::yield();
+  });
   EXPECT_TRUE(lock.try_lock());
   lock.unlock();
 }

@@ -18,6 +18,7 @@
 #include "locks/mcs_rwlock.hpp"
 #include "locks/roll_lock.hpp"
 #include "locks/solaris_rwlock.hpp"
+#include "platform/fault.hpp"
 #include "platform/test_memory.hpp"
 #include "snzi/csnzi.hpp"
 #include "lock_test_utils.hpp"
@@ -99,6 +100,18 @@ TEST(RaceFuzz, RollReadHeavy) {
 }
 TEST(RaceFuzz, KsuhWriteHeavy) {
   fuzz_rounds<KsuhRwLock<TestMemory>>(250, 4, 40, 20);
+}
+
+// Writer-heavy GOLL with yields and delays injected at the spin-wait site
+// as well: writers that find the lock write-held spin for the reopen and
+// retry CloseIfEmpty, racing the eliding release, queued handoffs and
+// readers spinning for the same reopen.
+TEST(RaceFuzz, GollWriteHeavySpinWait) {
+  struct Jitter {
+    Jitter() { fault_enable(fault_profile_jitter(), 19); }
+    ~Jitter() { fault_disable(); }
+  } jitter;
+  fuzz_rounds<GollLock<TestMemory>>(250, 4, 40, 20);
 }
 
 // FOLL node-pool invariant under fuzzing: after quiescence plus a flushing
