@@ -40,8 +40,9 @@ gating nothing.
 
 The per-lock footprint ("footprint.opt-bravo-goll.bytes_mt4", ...) is
 recorded in its own "footprint" section: heap bytes one factory lock of
-each kind allocates at construction, at max_threads 4 and 512, from
-tests/footprint_test --print.  It is deterministic, so it is gated by a
+each kind allocates at construction, at max_threads 4 and 512, and its
+allocation count at 4 ("...allocs_mt4"), from tests/footprint_test
+--print.  It is deterministic, so it is gated by a
 hard ceiling per key (the test's own table, DESIGN.md §17): a change that
 grows any kind past its ceiling fails the run.
 
@@ -320,8 +321,8 @@ def collect_micro(build_dir, name, bench_filter):
 
 
 def collect_footprint(build_dir):
-    """footprint_test --print lines "footprint.<kind>.bytes_mt<N> <bytes>
-    <ceiling>" -> ({key: bytes}, {key: ceiling})."""
+    """footprint_test --print lines "footprint.<kind>.<measure> <value>
+    <ceiling>" -> ({key: value}, {key: ceiling})."""
     binary = os.path.join(build_dir, "tests", "footprint_test")
     out = run([binary, "--print"])
     sizes, ceilings = {}, {}

@@ -95,7 +95,7 @@ TSAN_SUITES=(
   wait_queue_test mutex_test metalock_test orig_snzi_test trace_test
   histogram_test timed_lock_test litmus_test versioned_lock_test
   lock_registry_test telemetry_test mechanism_test park_test
-  lock_stats_test
+  lock_stats_test lazy_block_test
 )
 
 echo "==> tsan: configure + build (tests only)"

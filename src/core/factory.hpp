@@ -365,10 +365,10 @@ class RwLockAdapter final : public AnyRwLock {
   const char* name() const override { return name_; }
   LockStatsSnapshot stats() const override {
     LockStatsSnapshot s = raw_stats();
-    s -= baseline_;
+    if (const LockStatsSnapshot* b = baseline_.get()) s -= *b;
     return s;
   }
-  void reset_stats() override { baseline_ = raw_stats(); }
+  void reset_stats() override { *baseline_.get_or_publish() = raw_stats(); }
   const ContentionCensus* census() const override { return &census_; }
 
   L& underlying() { return impl_; }
@@ -413,7 +413,9 @@ class RwLockAdapter final : public AnyRwLock {
 
   const char* name_;
   L impl_;
-  LockStatsSnapshot baseline_{};
+  // The reset_stats() baseline, allocated by the first reset (2.7 KB that
+  // a latch nobody rebases never pays for); none means a zero baseline.
+  LazyBlock<LockStatsSnapshot> baseline_{1};
   ContentionCensus census_;
   // Declared last: deregistration (which blocks out in-flight registry
   // samplers) must complete before impl_ and census_ are destroyed.
@@ -501,12 +503,6 @@ inline BravoOptions bravo_options(const LockFactoryOptions& o) {
   return b;
 }
 
-inline VersionedOptions versioned_options(const LockFactoryOptions& o) {
-  VersionedOptions v;
-  v.max_threads = o.max_threads;
-  return v;
-}
-
 // Wraps a backend in the adapter, registered under the kind's display name.
 template <typename L, typename... Args>
 std::unique_ptr<AnyRwLock> make_adapter(LockKind kind,
@@ -566,13 +562,13 @@ std::unique_ptr<AnyRwLock> make_rwlock(LockKind kind,
           kind, o, bravo_options(o), central_options(o));
     case LockKind::kOptGoll:
       return make_adapter<VersionedRwLock<GollLock<M>, M>>(
-          kind, o, versioned_options(o), goll_options(o));
+          kind, o, VersionedOptions{}, goll_options(o));
     case LockKind::kOptBravoGoll:
       return make_adapter<VersionedRwLock<Bravo<GollLock<M>, M>, M>>(
-          kind, o, versioned_options(o), bravo_options(o), goll_options(o));
+          kind, o, VersionedOptions{}, bravo_options(o), goll_options(o));
     case LockKind::kOptCentral:
       return make_adapter<VersionedRwLock<CentralRwLock<M>, M>>(
-          kind, o, versioned_options(o), central_options(o));
+          kind, o, VersionedOptions{}, central_options(o));
   }
   return nullptr;
 }

@@ -252,6 +252,10 @@ class Bravo {
   // queued).  Exact at quiescence.
   LockStatsSnapshot stats() const { return stats_.snapshot(); }
 
+  // The counters stats() reads, for a wrapping layer that counts fields
+  // only it writes (VersionedRwLock's opt_*).
+  LockStats& lock_stats() { return stats_; }
+
   bool read_biased() const {
     return rbias_.load(std::memory_order_acquire) != 0;
   }

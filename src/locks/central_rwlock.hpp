@@ -158,6 +158,10 @@ class CentralRwLock {
   // Exact at quiescence.
   LockStatsSnapshot stats() const { return stats_.snapshot(); }
 
+  // The counters stats() reads, for a wrapping layer that counts fields
+  // only it writes (VersionedRwLock's opt_*).
+  LockStats& lock_stats() { return stats_; }
+
  private:
   // Escalation threshold for kSpinThenPark: backoff rounds before the loop
   // starts napping (mirrors SpinWait's yield->park ladder).

@@ -31,10 +31,12 @@
 //     via the node's next pointer / tail check.
 //
 // All three are BasicLockable (lock/unlock, no arguments) so
-// std::lock_guard applies; queue nodes are internal per-thread slots.  None
-// are reentrant, and a thread may not interleave two acquisitions of the
-// *same* metalock instance — the usage pattern of a metalock critical
-// section (short, no callouts) guarantees this.
+// std::lock_guard applies; queue nodes are internal per-thread slots,
+// allocated by the first lock() (a pay-for-use block, locks/per_thread.hpp):
+// GOLL takes its metalock only on contended paths, so most latches never
+// need them.  None are reentrant, and a thread may not interleave two
+// acquisitions of the *same* metalock instance — the usage pattern of a
+// metalock critical section (short, no callouts) guarantees this.
 #pragma once
 
 #include <atomic>
@@ -193,7 +195,7 @@ class McsMetalock {
   const bool use_park_;
   typename M::template Atomic<QNode*> tail_{nullptr};
   char pad_[kFalseSharingRange - sizeof(void*)];
-  PerThreadSlots<QNode> nodes_;
+  LazyPerThreadSlots<QNode> nodes_;
 };
 
 // Two-level cohort MCS lock (see file comment).  BasicLockable,
@@ -461,7 +463,7 @@ class CohortMcsLock {
   bool single_domain_ = false;
   typename M::template Atomic<GNode*> gtail_{nullptr};
   char pad_[kFalseSharingRange - sizeof(void*)];
-  PerThreadSlots<QNode> nodes_;
+  LazyPerThreadSlots<QNode> nodes_;
   std::unique_ptr<Domain[]> domains_;
 };
 

@@ -11,10 +11,13 @@
 //
 // Structure, following the classic flat-combining publication list:
 //
-//   * One cache-aligned Slot per thread (locks/per_thread.hpp).  A slot is
-//     enrolled into a grow-only intrusive list the first time its thread
-//     delegates; it is never unlinked, so the combiner's walk needs no
-//     hazard protection and visits only threads that ever delegated.
+//   * One cache-aligned Slot per thread, in a block the first publish()
+//     allocates (a pay-for-use block, locks/per_thread.hpp): a lock whose
+//     writers never delegate — every lock with combining off — has none.
+//     A slot is enrolled into a grow-only intrusive list the first time
+//     its thread delegates; it is never unlinked, so the combiner's walk
+//     needs no hazard protection and visits only threads that ever
+//     delegated.
 //   * Slot life cycle: kEmpty -> kPending (owner publishes closure, release
 //     store) -> kExecuting (combiner claims by CAS) -> kDone (combiner
 //     finished, release store; any exception parked in `ex`) -> kEmpty
@@ -214,7 +217,7 @@ class CombinePool {
                   std::memory_order_release);
   }
 
-  PerThreadSlots<Slot> slots_;
+  LazyPerThreadSlots<Slot> slots_;
   typename M::template Atomic<Slot*> head_{nullptr};
   typename M::template Atomic<std::uint32_t> dirty_{0};
 };

@@ -105,7 +105,7 @@ class GollLock {
                    ? opts.metalock.cohort_budget
                    : 0,
                /*tree_wake=*/opts.metalock.kind != MetalockKind::kTatas),
-        combine_(opts.combine ? opts.max_threads : 1) {}
+        combine_(opts.max_threads) {}
 
   GollLock(const GollLock&) = delete;
   GollLock& operator=(const GollLock&) = delete;
@@ -417,6 +417,10 @@ class GollLock {
     s.wake_cross_domain = queue_.wake_cross_domain();
     return s;
   }
+
+  // The counters stats() reads, for a wrapping layer that counts fields
+  // only it writes (VersionedRwLock's opt_*).
+  LockStats& lock_stats() { return stats_; }
 
  private:
   // Unlock-on-scope-exit for closures run inline by with_write: the unlock
@@ -827,7 +831,8 @@ class GollLock {
   alignas(kFalseSharingRange)
       typename M::template Atomic<std::uint32_t> has_waiters_{0};
   WaitQueue<M> queue_;
-  // Delegated-writer publication pool (sized 1 when combining is off).
+  // Delegated-writer publication pool; its slots are allocated by the
+  // first delegation, so with combining off it never allocates.
   CombinePool<M> combine_;
 
  public:

@@ -24,13 +24,10 @@
 // thread against 160 bytes of counters, and most locks never record one —
 // a B-tree of 4,681 latches at max_threads=4 spent 80 % of its heap on
 // histogram slots nobody wrote.  So the per-thread counter slot holds only
-// the counters, and the histograms live in one per-lock block of per-thread
-// slots allocated by the first record.  Concurrent first records race to
-// publish their block with a CAS; the losers free theirs and use the
-// winner's, so exactly one block is ever published and no record is lost.
-// Readers load the block pointer with acquire (pairing with the CAS's
-// release), so they see it fully zeroed; a null block reads as empty
-// histograms, which is what a never-written block would have held.
+// the counters, and the histograms live in one per-lock LazyPerThreadSlots
+// block (locks/per_thread.hpp) published by the first record; a null block
+// reads as empty histograms, which is what a never-written block would
+// have held.
 //
 // Each slot has exactly one writer (its thread), but snapshot() may run
 // concurrently with increments, so the fields are atomics accessed with
@@ -222,8 +219,8 @@ struct LockStatsSnapshot {
 
 class LockStats {
  public:
-  explicit LockStats(std::uint32_t max_threads) : slots_(max_threads) {}
-  ~LockStats() { delete[] hist_.load(std::memory_order_acquire); }
+  explicit LockStats(std::uint32_t max_threads)
+      : slots_(max_threads), hist_(max_threads) {}
 
   LockStats(const LockStats&) = delete;
   LockStats& operator=(const LockStats&) = delete;
@@ -286,13 +283,6 @@ class LockStats {
     local_histograms().opt_read.add(d);
   }
 
-  // Histogram blocks published by every LockStats in the process so far
-  // (monotonic; CAS losers are not counted).  Lets tests assert that an
-  // untimed, park-free workload allocates none.
-  static std::uint64_t histogram_blocks_published() {
-    return blocks_published_.load(std::memory_order_relaxed);
-  }
-
   // Aggregate across threads.  Not linearizable with respect to concurrent
   // updates (relaxed loads of live counters); call at quiescence for exact
   // numbers.
@@ -328,16 +318,16 @@ class LockStats {
       total.spurious_wakes +=
           s.spurious_wakes.load(std::memory_order_relaxed);
     }
-    if (const HistSlot* h = hist_.load(std::memory_order_acquire)) {
-      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-        const Histograms& s = h[i].value;
-        s.read_acquire.snapshot_into(total.read_acquire);
-        s.write_acquire.snapshot_into(total.write_acquire);
-        s.writer_wait.snapshot_into(total.writer_wait);
-        s.timed_acquire.snapshot_into(total.timed_acquire);
-        s.opt_read.snapshot_into(total.opt_read);
-        s.park_wait.snapshot_into(total.park_wait);
-      }
+    for (std::uint32_t i = 0; i < hist_.size(); ++i) {
+      const Histograms* h = hist_.find(i);
+      if (h == nullptr) break;  // no block: empty histograms
+      const Histograms& s = *h;
+      s.read_acquire.snapshot_into(total.read_acquire);
+      s.write_acquire.snapshot_into(total.write_acquire);
+      s.writer_wait.snapshot_into(total.writer_wait);
+      s.timed_acquire.snapshot_into(total.timed_acquire);
+      s.opt_read.snapshot_into(total.opt_read);
+      s.park_wait.snapshot_into(total.park_wait);
     }
     return total;
   }
@@ -369,16 +359,15 @@ class LockStats {
       s.unparks.store(0, std::memory_order_relaxed);
       s.spurious_wakes.store(0, std::memory_order_relaxed);
     }
-    if (HistSlot* h = hist_.load(std::memory_order_acquire)) {
-      for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-        Histograms& s = h[i].value;
-        s.read_acquire.reset();
-        s.write_acquire.reset();
-        s.writer_wait.reset();
-        s.timed_acquire.reset();
-        s.opt_read.reset();
-        s.park_wait.reset();
-      }
+    for (std::uint32_t i = 0; i < hist_.size(); ++i) {
+      Histograms* h = hist_.find(i);
+      if (h == nullptr) break;  // no block: nothing recorded
+      h->read_acquire.reset();
+      h->write_acquire.reset();
+      h->writer_wait.reset();
+      h->timed_acquire.reset();
+      h->opt_read.reset();
+      h->park_wait.reset();
     }
   }
 
@@ -415,7 +404,6 @@ class LockStats {
     AtomicHistogram opt_read;
     AtomicHistogram park_wait;
   };
-  using HistSlot = CacheAligned<Histograms>;
 
   // Single-writer slot: a relaxed load+store increment cannot be lost and
   // avoids a lock-prefixed RMW on the acquisition hot path.
@@ -427,33 +415,10 @@ class LockStats {
   }
 
   // The calling thread's histogram slot, publishing the block on first use.
-  Histograms& local_histograms() {
-    HistSlot* h = hist_.load(std::memory_order_acquire);
-    if (h == nullptr) [[unlikely]] h = publish_histograms();
-    const std::uint32_t idx = this_thread_index();
-    OLL_CHECK(idx < slots_.size());
-    return h[idx].value;
-  }
-
-  // Cold half of local_histograms(): allocate a zeroed block and race to
-  // publish it.  release on success publishes the zeroed contents to every
-  // acquire load above; acquire on failure makes the winner's block ours.
-  [[gnu::cold, gnu::noinline]] HistSlot* publish_histograms() {
-    HistSlot* fresh = new HistSlot[slots_.size()];
-    HistSlot* expected = nullptr;
-    if (hist_.compare_exchange_strong(expected, fresh,
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire)) {
-      blocks_published_.fetch_add(1, std::memory_order_relaxed);
-      return fresh;
-    }
-    delete[] fresh;  // another thread won the publication race
-    return expected;
-  }
+  Histograms& local_histograms() { return hist_.local(); }
 
   PerThreadSlots<Slot> slots_;
-  std::atomic<HistSlot*> hist_{nullptr};
-  static inline std::atomic<std::uint64_t> blocks_published_{0};
+  LazyPerThreadSlots<Histograms> hist_;
 };
 
 }  // namespace oll

@@ -52,7 +52,16 @@
 // *validation* — and the stamp comparison does that without any seq_cst.
 //
 // Writers pay two version-line stores per exclusive section on top of the
-// underlying lock; pessimistic readers pay nothing new.  try_upgrade /
+// underlying lock; pessimistic readers pay nothing new.
+//
+// The layer keeps no per-lock state besides the version word (DESIGN.md
+// §13): its opt_* counters and opt_read histogram are fields no other layer
+// writes, so they are counted into the wrapped lock's own LockStats
+// (lock_stats()), and stats() is the wrapped lock's.  The begin-to-validate
+// timer lives in a small thread_local table of open windows that only an
+// enabled observer (tracing or latency timing) touches.  With observation
+// off, an optimistic read reads the version line twice and bumps one
+// counter in the calling thread's private stats slot.  try_upgrade /
 // downgrade are deliberately not forwarded: an upgrade would enter the
 // writer role without passing through writer_enter()'s stamp.
 #pragma once
@@ -65,7 +74,6 @@
 
 #include "core/rwlock_concepts.hpp"
 #include "locks/lock_stats.hpp"
-#include "locks/per_thread.hpp"
 #include "platform/fault.hpp"
 #include "platform/memory.hpp"
 #include "platform/trace.hpp"
@@ -73,13 +81,61 @@
 namespace oll {
 
 struct VersionedOptions {
-  std::uint32_t max_threads = 512;
   // Optimistic attempts before read_optimistic falls back to the
   // pessimistic shared path.  Small: under write bursts the version word
   // keeps moving and retrying only re-reads a line that keeps invalidating;
   // the underlying lock's reader path is the right tool there.
   std::uint32_t max_opt_retries = 8;
 };
+
+namespace versioned_internal {
+
+// The calling thread's open optimistic windows whose begin armed a latency
+// timer, keyed by lock.  A thread may hold a few windows at once (hand-
+// over-hand coupling holds two); a window abandoned without a validate is
+// overwritten by the next begin on the same lock, or by round robin once
+// every entry is taken.  constinit: no dynamic TLS initializer, so access
+// is a plain TLS load.
+struct OpenWindow {
+  const void* lock;
+  std::uint64_t begin;
+};
+inline constexpr std::uint32_t kOpenWindows = 8;
+struct OpenWindows {
+  OpenWindow w[kOpenWindows];
+  std::uint32_t next;
+};
+inline constinit thread_local OpenWindows t_open_windows{};
+
+inline void open_window(const void* lock, std::uint64_t begin) {
+  OpenWindows& t = t_open_windows;
+  OpenWindow* free_entry = nullptr;
+  for (OpenWindow& w : t.w) {
+    if (w.lock == lock) {
+      w.begin = begin;
+      return;
+    }
+    if (w.lock == nullptr && free_entry == nullptr) free_entry = &w;
+  }
+  if (free_entry == nullptr) free_entry = &t.w[t.next++ % kOpenWindows];
+  *free_entry = {lock, begin};
+}
+
+// The timer `lock`'s open window started, removing the window; an unarmed
+// timer when there is none.  Armed only while timing is still on, so an
+// entry left by a window abandoned before timing was switched off is
+// dropped here without a sample.
+inline ObsTimer close_window(const void* lock) {
+  for (OpenWindow& w : t_open_windows.w) {
+    if (w.lock == lock) {
+      w.lock = nullptr;
+      return {w.begin, latency_timing_enabled()};
+    }
+  }
+  return {};
+}
+
+}  // namespace versioned_internal
 
 template <typename LockT, typename M = RealMemory>
 class VersionedRwLock {
@@ -88,10 +144,7 @@ class VersionedRwLock {
 
   template <typename... Args>
   explicit VersionedRwLock(const VersionedOptions& opts, Args&&... args)
-      : opts_(opts),
-        lock_(std::forward<Args>(args)...),
-        locals_(opts.max_threads),
-        stats_(opts.max_threads) {}
+      : opts_(opts), lock_(std::forward<Args>(args)...) {}
 
   VersionedRwLock() : VersionedRwLock(VersionedOptions{}) {}
 
@@ -105,8 +158,7 @@ class VersionedRwLock {
   // writer is inside the lock — the attempt must not start, because the
   // data is actively mutating and could not possibly validate.
   std::uint64_t opt_read_begin() {
-    Local& local = locals_.local();
-    local.timer = obs_begin(TraceEventType::kOptReadBegin, this);
+    const ObsTimer t = obs_begin(TraceEventType::kOptReadBegin, this);
     // acquire: pairs with writer_exit()'s release store — data reads after
     // this load observe everything the stamped version's writer published.
     const std::uint64_t v = version_.load(std::memory_order_acquire);
@@ -117,6 +169,7 @@ class VersionedRwLock {
       finish_opt(false);
       return kInvalidOptStamp;
     }
+    if (t.armed) versioned_internal::open_window(this, t.begin);
     return v;
   }
 
@@ -146,7 +199,7 @@ class VersionedRwLock {
   // traversal loop) when it gives up on optimism and takes lock_shared().
   void count_opt_fallback() {
     trace_event(TraceEventType::kOptFallback, this);
-    stats_.count_opt_fallback();
+    lock_.lock_stats().count_opt_fallback();
   }
 
   // --- pessimistic surface: forwarded, writers stamp the version ----------
@@ -231,18 +284,9 @@ class VersionedRwLock {
 
   // --- introspection ------------------------------------------------------
 
-  // The wrapper's opt_* counters merged with the underlying lock's full
-  // snapshot (so reads()/writes() still reflect the pessimistic traffic).
-  // Exact at quiescence.
-  LockStatsSnapshot stats() const {
-    LockStatsSnapshot s = stats_.snapshot();
-    if constexpr (requires(const LockT& l) {
-                    { l.stats() } -> std::convertible_to<LockStatsSnapshot>;
-                  }) {
-      s += lock_.stats();
-    }
-    return s;
-  }
+  // The underlying lock's snapshot, which also carries this layer's opt_*
+  // counters and opt_read histogram.  Exact at quiescence.
+  LockStatsSnapshot stats() const { return lock_.stats(); }
 
   Underlying& underlying() { return lock_; }
   const Underlying& underlying() const { return lock_; }
@@ -266,32 +310,28 @@ class VersionedRwLock {
     version_.store(v + 1, std::memory_order_release);
   }
 
+  // End the calling thread's window on this lock.  Its begin timer, if
+  // one was armed, is in the open-window table; a dead-on-arrival begin
+  // opened none (and records no sample either way).
   void finish_opt(bool ok) {
-    Local& local = locals_.local();
-    const bool armed = local.timer.armed;
-    const std::uint64_t d =
-        obs_end(TraceEventType::kOptReadEnd, this, local.timer);
-    local.timer = {};
+    ObsTimer t{};
+    std::uint64_t d = 0;
+    if (observation_enabled()) [[unlikely]] {
+      t = versioned_internal::close_window(this);
+      d = obs_end(TraceEventType::kOptReadEnd, this, t);
+    }
+    LockStats& stats = lock_.lock_stats();
     if (ok) {
-      stats_.count_opt_read();
-      if (armed) stats_.record_opt_read(d);
+      stats.count_opt_read();
+      if (t.armed) stats.record_opt_read(d);
     } else {
       trace_event(TraceEventType::kOptValidationFail, this);
-      stats_.count_opt_validation_failure();
+      stats.count_opt_validation_failure();
     }
   }
 
-  struct Local {
-    // Carries the begin-side observability timer to validate; per-thread
-    // (cache-aligned, private line) so the optimistic path still performs
-    // zero shared stores.
-    ObsTimer timer{};
-  };
-
   VersionedOptions opts_;
   LockT lock_;
-  PerThreadSlots<Local> locals_;
-  LockStats stats_;
   // On M's atomics so fuzz builds perturb it and sim builds charge its
   // coherence traffic — the two loads per optimistic read are exactly what
   // the zero-shared-store evidence test counts.

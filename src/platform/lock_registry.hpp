@@ -71,9 +71,8 @@
 
 #if OLL_REGISTRY
 #include <atomic>
-#include <memory>
 
-#include "platform/cache_line.hpp"
+#include "locks/per_thread.hpp"
 #include "platform/thread_id.hpp"
 #endif
 
@@ -230,10 +229,10 @@ class ContentionCensus {
  public:
   // One slot per dense thread index; marks from indices >= max_threads are
   // dropped (bound-checked), so a small census under-counts rather than
-  // corrupts.
-  explicit ContentionCensus(std::uint32_t max_threads)
-      : slots_(std::make_unique<CacheAligned<Slot>[]>(max_threads)),
-        size_(max_threads) {}
+  // corrupts.  The slots are a pay-for-use block (locks/per_thread.hpp):
+  // the first begin_wait made while the census is enabled publishes it,
+  // and until then every reader below sees "no slots" — no marks.
+  explicit ContentionCensus(std::uint32_t max_threads) : slots_(max_threads) {}
 
   // Worker-side marks.  All wait-free, and every one of them — not just
   // begin_wait — gates on the global enable word first, so the disabled
@@ -244,8 +243,8 @@ class ContentionCensus {
   void begin_wait(bool write) {
     if (!registry_census_enabled()) return;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
+    if (idx >= slots_.size()) return;
+    Slot& s = slots_.at(idx);
     s.epoch.store(registry_census_epoch(), std::memory_order_relaxed);
     s.site.store(current_lock_site(), std::memory_order_relaxed);
     s.begin_ns.store(registry_coarse_now(), std::memory_order_relaxed);
@@ -253,10 +252,10 @@ class ContentionCensus {
   }
 
   void acquired(bool write) {
-    if (!registry_census_enabled()) return;
+    Slot* const m = marked_slot();
+    if (m == nullptr) return;
+    Slot& s = *m;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
     // No begin_wait mark this epoch (the acquisition started before the
     // census was enabled, or the table is too small): don't fabricate a
     // hold with no recorded start.
@@ -282,10 +281,10 @@ class ContentionCensus {
   }
 
   void released() {
-    if (!registry_census_enabled()) return;
+    Slot* const m = marked_slot();
+    if (m == nullptr) return;
+    Slot& s = *m;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
     const std::uint32_t st = s.state.load(std::memory_order_relaxed);
     if (st == kIdle) return;
     if (st == kHoldWrite &&
@@ -298,10 +297,9 @@ class ContentionCensus {
 
   // A try/timed acquisition that began a wait but failed.
   void abandoned() {
-    if (!registry_census_enabled()) return;
-    const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
+    Slot* const m = marked_slot();
+    if (m == nullptr) return;
+    Slot& s = *m;
     if (s.state.load(std::memory_order_relaxed) == kIdle) return;
     s.begin_ns.store(0, std::memory_order_relaxed);
     s.state.store(kIdle, std::memory_order_relaxed);
@@ -312,8 +310,10 @@ class ContentionCensus {
   CensusSnapshot snapshot(std::uint64_t now_ns) const {
     CensusSnapshot out;
     const std::uint32_t epoch = registry_census_epoch();
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      const Slot& s = slots_[i].value;
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+      const Slot* const m = slots_.find(i);
+      if (m == nullptr) break;  // no block: nobody has marked
+      const Slot& s = *m;
       if (s.epoch.load(std::memory_order_relaxed) != epoch) continue;
       const std::uint32_t st = s.state.load(std::memory_order_relaxed);
       switch (st) {
@@ -359,8 +359,10 @@ class ContentionCensus {
   template <typename F>
   void for_each_waiting(F&& f) const {
     const std::uint32_t epoch = registry_census_epoch();
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      const Slot& s = slots_[i].value;
+    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+      const Slot* const m = slots_.find(i);
+      if (m == nullptr) break;  // no block: nobody is waiting
+      const Slot& s = *m;
       if (s.epoch.load(std::memory_order_relaxed) != epoch) continue;
       const std::uint32_t st = s.state.load(std::memory_order_relaxed);
       if (st != kWaitRead && st != kWaitWrite) continue;
@@ -369,7 +371,7 @@ class ContentionCensus {
     }
   }
 
-  std::uint32_t size() const { return size_; }
+  std::uint32_t size() const { return slots_.size(); }
 
  private:
   enum : std::uint32_t { kIdle = 0, kWaitRead, kWaitWrite, kHoldRead,
@@ -389,8 +391,17 @@ class ContentionCensus {
     return (static_cast<std::uint64_t>(epoch) << 32) | tid;
   }
 
-  std::unique_ptr<CacheAligned<Slot>[]> slots_;
-  std::uint32_t size_;
+  // The calling thread's slot for the marks after begin_wait: null while
+  // the census is disabled, for an out-of-range index, or while no block
+  // exists (then begin_wait made no mark, so there is nothing to update).
+  Slot* marked_slot() {
+    if (!registry_census_enabled()) return nullptr;
+    const std::uint32_t idx = this_thread_index();
+    if (idx >= slots_.size()) return nullptr;
+    return slots_.find(idx);
+  }
+
+  LazyPerThreadSlots<Slot> slots_;
   std::atomic<std::uint64_t> writer_{kNoWriter};
 };
 

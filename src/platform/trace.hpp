@@ -149,6 +149,11 @@ inline bool latency_timing_enabled() {
           trace_internal::kTimingBit) != 0;
 }
 
+// Either of the two: lets a caller skip bookkeeping only an observer reads.
+inline bool observation_enabled() {
+  return trace_internal::g_mode.load(std::memory_order_relaxed) != 0;
+}
+
 // Fire-and-forget instantaneous event (releases, revocations, C-SNZI state
 // flips).
 inline void trace_event(TraceEventType type, const void* obj) {
@@ -204,6 +209,7 @@ void trace_set_clock(TraceClockFn fn);
 
 inline constexpr bool trace_events_enabled() { return false; }
 inline constexpr bool latency_timing_enabled() { return false; }
+inline constexpr bool observation_enabled() { return false; }
 inline constexpr void trace_event(TraceEventType, const void*) {}
 inline constexpr ObsTimer obs_begin(TraceEventType, const void*) {
   return {};

@@ -36,7 +36,7 @@ class StartLine {
 };
 
 TEST(LazyHistograms, FreshStatsReadAsEmptyHistograms) {
-  const std::uint64_t before = LockStats::histogram_blocks_published();
+  const std::uint64_t before = lazy_blocks_published();
   LockStats stats(4);
   stats.count_read_fast();
   stats.count_park_outcome(1, 0, /*wait_ns=*/0);  // no park time: no block
@@ -46,7 +46,7 @@ TEST(LazyHistograms, FreshStatsReadAsEmptyHistograms) {
   EXPECT_TRUE(s.read_acquire.empty());
   EXPECT_TRUE(s.park_wait.empty());
   stats.reset();  // no block to clear: must not allocate one
-  EXPECT_EQ(LockStats::histogram_blocks_published(), before);
+  EXPECT_EQ(lazy_blocks_published(), before);
 }
 
 // Snapshots equal histograms built directly from the same samples: the
@@ -112,7 +112,7 @@ TEST(LazyHistograms, ConcurrentFirstRecordsPublishExactlyOneBlock) {
   constexpr int kRounds = 200;
   for (int round = 0; round < kRounds; ++round) {
     LockStats stats(16);
-    const std::uint64_t before = LockStats::histogram_blocks_published();
+    const std::uint64_t before = lazy_blocks_published();
     StartLine start(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
@@ -122,7 +122,7 @@ TEST(LazyHistograms, ConcurrentFirstRecordsPublishExactlyOneBlock) {
       });
     }
     for (auto& th : threads) th.join();
-    ASSERT_EQ(LockStats::histogram_blocks_published(), before + 1)
+    ASSERT_EQ(lazy_blocks_published(), before + 1)
         << "round " << round;
     const LockStatsSnapshot s = stats.snapshot();
     ASSERT_EQ(s.read_acquire.count, static_cast<std::uint64_t>(kThreads));

@@ -5,6 +5,7 @@
 // read performs ZERO shared-line stores and zero RMWs.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -18,6 +19,7 @@
 #include "locks/goll_lock.hpp"
 #include "locks/versioned_rwlock.hpp"
 #include "platform/fault.hpp"
+#include "platform/trace.hpp"
 #include "sim/context.hpp"
 #include "sim/machine.hpp"
 #include "sim/memory.hpp"
@@ -294,6 +296,191 @@ TEST(VersionedRwLockSim, AllOptKindsStoreFreeThroughAnyRwLock) {
     EXPECT_EQ(after.rmws - before.rmws, 0u) << lock->name();
   }
 }
+
+// --- exact counters through the factory ------------------------------------
+//
+// The optimistic layer counts into the lock it wraps (DESIGN.md §13).  A
+// fixed single-threaded script must leave exactly the counters it left
+// when the layer kept its own LockStats: the literals below are what that
+// layout produced for each opt-* kind.
+
+// Every scalar counter of a snapshot, in declaration order (C-SNZI last).
+using Counters = std::array<std::uint64_t, 32>;
+Counters counters_of(const LockStatsSnapshot& s) {
+  return {s.read_fast,
+          s.read_queued,
+          s.write_fast,
+          s.write_queued,
+          s.read_bias,
+          s.bias_revoke,
+          s.meta_handoffs,
+          s.meta_cohort_hits,
+          s.meta_cross_domain,
+          s.wake_cohort_hits,
+          s.wake_cross_domain,
+          s.read_timeouts,
+          s.write_timeouts,
+          s.read_abandons,
+          s.write_abandons,
+          s.revoke_timeouts,
+          s.opt_reads,
+          s.opt_validation_failures,
+          s.opt_fallbacks,
+          s.combined_ops,
+          s.combine_batches,
+          s.combine_handoffs_saved,
+          s.parks,
+          s.unparks,
+          s.spurious_wakes,
+          s.csnzi.root_reads,
+          s.csnzi.direct_arrivals,
+          s.csnzi.tree_arrivals,
+          s.csnzi.sticky_arrivals,
+          s.csnzi.root_cas_failures,
+          s.csnzi.root_propagations,
+          s.csnzi.redundant_undos};
+}
+
+// Validation success and failure (at validate and at begin), a fallback,
+// pessimistic reads and writes, try paths.
+void run_opt_script(AnyRwLock& l) {
+  for (int i = 0; i < 5; ++i) {
+    const std::uint64_t s = l.opt_read_begin();
+    ASSERT_TRUE(l.opt_read_validate(s));
+  }
+  const std::uint64_t stale = l.opt_read_begin();
+  l.lock();
+  l.unlock();
+  ASSERT_FALSE(l.opt_read_validate(stale));
+  l.lock();
+  const std::uint64_t dead = l.opt_read_begin();
+  ASSERT_EQ(dead, kInvalidOptStamp);
+  ASSERT_FALSE(l.opt_read_validate(dead));
+  l.unlock();
+  l.count_opt_fallback();
+  for (int i = 0; i < 3; ++i) {
+    l.lock_shared();
+    l.unlock_shared();
+  }
+  for (int i = 0; i < 2; ++i) {
+    l.lock();
+    l.unlock();
+  }
+  ASSERT_TRUE(l.try_lock());
+  l.unlock();
+  ASSERT_TRUE(l.try_lock_shared());
+  l.unlock_shared();
+  ASSERT_TRUE(l.try_lock_for(std::chrono::milliseconds(50)));
+  l.unlock();
+  ASSERT_TRUE(l.try_lock_shared_for(std::chrono::milliseconds(50)));
+  l.unlock_shared();
+}
+
+std::unique_ptr<AnyRwLock> script_lock(LockKind kind) {
+  LockFactoryOptions o;
+  o.max_threads = 4;
+  o.register_lock = false;
+  return make_rwlock(kind, o);
+}
+
+TEST(VersionedExact, ScriptedCountersMatchLiterals) {
+  const std::pair<LockKind, Counters> expected[] = {
+      // GOLL's try_lock/try_lock_shared count nothing; its C-SNZI takes
+      // every arrival directly at the root.
+      {LockKind::kOptGoll, {4, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                            5, 2, 1, 0, 0, 0, 0, 0, 0, 5, 5, 0, 0, 0, 0, 0}},
+      // BRAVO reports its own counters only (no C-SNZI mix); the first
+      // write revokes the bias armed at construction.
+      {LockKind::kOptBravoGoll, {5, 0, 6, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                 0, 5, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                                 0, 0}},
+      {LockKind::kOptCentral, {3, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                               5, 2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                               0}},
+  };
+  for (const auto& [kind, want] : expected) {
+    auto lock = script_lock(kind);
+    run_opt_script(*lock);
+    const Counters got = counters_of(lock->stats());
+    EXPECT_EQ(got, want) << lock_kind_name(kind);
+  }
+}
+
+#if OLL_TRACE
+// Deterministic trace clock for the timing check below: +10 per reading.
+std::uint64_t g_opt_now = 0;
+std::uint64_t opt_test_clock() { return g_opt_now += 10; }
+
+std::size_t count_events(const TraceDump& d, TraceEventType type,
+                         const void* obj) {
+  std::size_t n = 0;
+  for (const TraceRecord& r : d.records) {
+    if (r.type == type && r.obj == obj) ++n;
+  }
+  return n;
+}
+
+// With tracing and timing on, every optimistic window still emits its
+// begin/end events and records one opt_read sample — also for two
+// overlapping windows on two latches opened by one thread (hand-over-hand
+// coupling), each timed from its own begin.
+TEST(VersionedExact, TimingRecordsEveryWindowIncludingOverlaps) {
+  for (LockKind kind : opt_lock_kinds()) {
+    auto a = script_lock(kind);
+    auto b = script_lock(kind);
+    g_opt_now = 0;
+    trace_set_clock(&opt_test_clock);
+    trace_enable();
+    latency_timing_enable();
+    // Clock readings: begin a = 10, begin b = 20, end b = 30, end a = 40.
+    const std::uint64_t sa = a->opt_read_begin();
+    const std::uint64_t sb = b->opt_read_begin();
+    EXPECT_TRUE(b->opt_read_validate(sb));
+    EXPECT_TRUE(a->opt_read_validate(sa));
+    // A failed window: end event, no sample.
+    const std::uint64_t stale = a->opt_read_begin();
+    a->lock();
+    a->unlock();
+    EXPECT_FALSE(a->opt_read_validate(stale));
+    // A window abandoned while timing is on leaves its entry behind; once
+    // timing is off, the next window on that lock records no sample.
+    (void)a->opt_read_begin();
+    latency_timing_disable();
+    EXPECT_TRUE(a->opt_read_validate(a->opt_read_begin()));
+    trace_disable();
+    trace_set_clock(nullptr);
+    const TraceDump dump = trace_drain();
+
+    const LockStatsSnapshot sa_stats = a->stats();
+    const LockStatsSnapshot sb_stats = b->stats();
+    EXPECT_EQ(sa_stats.opt_read.count, 1u) << lock_kind_name(kind);
+    EXPECT_EQ(sa_stats.opt_read.sum, 30u) << lock_kind_name(kind);
+    EXPECT_EQ(sb_stats.opt_read.count, 1u) << lock_kind_name(kind);
+    EXPECT_EQ(sb_stats.opt_read.sum, 10u) << lock_kind_name(kind);
+    EXPECT_EQ(sa_stats.opt_reads, 2u);
+    EXPECT_EQ(sa_stats.opt_validation_failures, 1u);
+
+    // Trace records name the VersionedRwLock inside each adapter; find it
+    // as the object of the lock's begin events.
+    const void* obj_a = nullptr;
+    const void* obj_b = nullptr;
+    for (const TraceRecord& r : dump.records) {
+      if (r.type != TraceEventType::kOptReadBegin) continue;
+      if (r.ts == 10 || r.ts == 50) obj_a = r.obj;
+      if (r.ts == 20) obj_b = r.obj;
+    }
+    ASSERT_NE(obj_a, nullptr) << lock_kind_name(kind);
+    ASSERT_NE(obj_b, nullptr) << lock_kind_name(kind);
+    EXPECT_NE(obj_a, obj_b);
+    EXPECT_EQ(count_events(dump, TraceEventType::kOptReadBegin, obj_a), 4u);
+    EXPECT_EQ(count_events(dump, TraceEventType::kOptReadEnd, obj_a), 3u);
+    EXPECT_EQ(count_events(dump, TraceEventType::kOptValidationFail, obj_a),
+              1u);
+    EXPECT_EQ(count_events(dump, TraceEventType::kOptReadBegin, obj_b), 1u);
+    EXPECT_EQ(count_events(dump, TraceEventType::kOptReadEnd, obj_b), 1u);
+  }
+}
+#endif  // OLL_TRACE
 
 }  // namespace
 }  // namespace oll
